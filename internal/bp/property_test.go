@@ -1,6 +1,7 @@
 package bp
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -121,24 +122,60 @@ func TestPropertyExactTreeOracle(t *testing.T) {
 	}
 }
 
-// TestPropertyDampedFixedPointAgrees: damping changes the trajectory, not
-// the destination.
+// TestPropertyDampedFixedPointAgrees: damping changes the trajectory,
+// not the fixed points. A damped step b' = (1−d)·f(b) + d·b is stationary
+// exactly where f(b) = b, so every converged run, damped or not, ends at
+// a fixpoint of the undamped update. Damping does not pick which one:
+// on a loopy graph BP can have several, and a damped and an undamped run
+// may settle in different ones.
 func TestPropertyDampedFixedPointAgrees(t *testing.T) {
+	// quick.Check once drew this input. Undamped RunEdge converges 0.9995
+	// (L∞) away from the damped run there, yet both are fixpoints.
+	t.Run("loopy_seed_-1818416801545844903_damping_0.31", func(t *testing.T) {
+		if err := dampedRunsAreFixpoints(-1818416801545844903, 0.31, true); err != nil {
+			t.Fatal(err)
+		}
+	})
 	f := func(seed int64, dampRaw uint8) bool {
 		damping := float32(dampRaw%80) / 100 // [0, 0.79]
-		g1, err := gen.Synthetic(80, 320, gen.Config{Seed: seed, States: 2})
-		if err != nil {
+		if err := dampedRunsAreFixpoints(seed, damping, false); err != nil {
+			t.Log(err)
 			return false
 		}
-		g2 := g1.Clone()
-		r1 := RunEdge(g1, Options{})
-		r2 := RunEdge(g2, Options{Damping: damping})
-		if !r1.Converged || !r2.Converged {
-			return true // non-convergent seeds carry no fixed-point claim
-		}
-		return maxBeliefDiff(g1, g2) < 2e-2
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
+}
+
+// dampedRunsAreFixpoints runs undamped and damped RunEdge on one
+// synthetic graph and checks that each converged run ends at a fixpoint
+// of the undamped update: one undamped sweep from its beliefs moves them
+// by a summed L1 of at most twice Threshold/(1−d). The stopping rule
+// (1−d)·Σ|f(b)−b| < Threshold gives Threshold/(1−d) for the last step;
+// the factor two covers the move the last step itself makes (the worst
+// of 1,500 random inputs used 0.92 of Threshold/(1−d)). Non-convergent
+// runs carry no fixpoint claim unless mustConverge is set.
+func dampedRunsAreFixpoints(seed int64, damping float32, mustConverge bool) error {
+	g, err := gen.Synthetic(80, 320, gen.Config{Seed: seed, States: 2})
+	if err != nil {
+		return err
+	}
+	for _, d := range []float32{0, damping} {
+		c := g.Clone()
+		res := RunEdge(c, Options{Damping: d})
+		if !res.Converged {
+			if mustConverge {
+				return fmt.Errorf("seed %d damping %g: run did not converge", seed, d)
+			}
+			continue
+		}
+		bound := 2 * DefaultThreshold / (1 - d)
+		if r := RunEdge(c, Options{MaxIterations: 1}).FinalDelta; r > bound {
+			return fmt.Errorf("seed %d damping %g: one undamped sweep from the converged beliefs moves them %g, bound %g",
+				seed, d, r, bound)
+		}
+	}
+	return nil
 }

@@ -222,15 +222,24 @@ func newResidualQueue(n int) *residualQueue {
 	return pq
 }
 
-// reset prepares the queue for n nodes, reusing its buffers when they are
-// large enough (the queue lives in the pooled run scratch).
+// reset prepares the queue for n nodes in O(touched), reusing its buffers
+// (the queue lives in the pooled run scratch). Between runs pos holds -1
+// for every node outside the heap, so only the entries the previous run
+// left queued (an iteration-capped run stops with a non-empty heap) need
+// clearing, and the arrays are filled only when they grow. val needs no
+// reset: it is read only for queued nodes, and update writes it before a
+// node enters the heap.
 func (pq *residualQueue) reset(n int) {
+	for _, v := range pq.nodes {
+		pq.pos[v] = -1
+	}
 	pq.nodes = growI32(pq.nodes, n)[:0]
-	pq.pos = growI32(pq.pos, n)
-	pq.val = growF32(pq.val, n)
-	for i := range pq.pos {
-		pq.pos[i] = -1
-		pq.val[i] = 0
+	if len(pq.pos) < n {
+		pq.pos = make([]int32, n)
+		for i := range pq.pos {
+			pq.pos[i] = -1
+		}
+		pq.val = make([]float32, n)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"credo/internal/gen"
 	"credo/internal/graph"
+	"credo/internal/kernel"
 )
 
 func TestResidualMatchesSweepBeliefs(t *testing.T) {
@@ -123,6 +124,56 @@ func TestResidualQueueOrdering(t *testing.T) {
 	}
 	if pq.maxResidual() != 0 {
 		t.Errorf("empty queue max residual = %v", pq.maxResidual())
+	}
+}
+
+// TestResidualQueueReuse pins the O(touched) queue reset: one scratch
+// arena drives an iteration-capped run that stops with nodes still
+// queued, then a run on a smaller graph, then one on a larger graph, and
+// each must match the same run on a fresh arena bitwise.
+func TestResidualQueueReuse(t *testing.T) {
+	synth := func(n int) *graph.Graph {
+		g, err := gen.Synthetic(n, 4*n, gen.Config{Seed: int64(n), States: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	steps := []struct {
+		name string
+		g    *graph.Graph
+		opts Options
+	}{
+		{"capped", synth(300), Options{MaxIterations: 1, Threshold: 1e-12, QueueThreshold: 1e-12}},
+		{"smaller", synth(100), Options{}},
+		{"larger", synth(600), Options{}},
+	}
+	sc := new(runScratch)
+	for _, st := range steps {
+		got, want := st.g.Clone(), st.g.Clone()
+		sc.ks.Counters = kernel.Counters{} // as release does between pooled runs
+		rg := runResidual(got, st.opts, sc, nil)
+		rw := runResidual(want, st.opts, new(runScratch), nil)
+		if st.name == "capped" && (rg.Converged || sc.pq.Len() == 0) {
+			t.Fatalf("capped run converged=%v with %d nodes queued; the reuse path is not exercised",
+				rg.Converged, sc.pq.Len())
+		}
+		if rg.Converged != rw.Converged || rg.Iterations != rw.Iterations ||
+			rg.FinalDelta != rw.FinalDelta || rg.Ops != rw.Ops {
+			t.Errorf("%s: reused arena %+v, fresh arena %+v", st.name, rg, rw)
+		}
+		for i := range want.Beliefs {
+			if math.Float32bits(got.Beliefs[i]) != math.Float32bits(want.Beliefs[i]) {
+				t.Fatalf("%s: belief %d = %g on the reused arena, %g on a fresh one",
+					st.name, i, got.Beliefs[i], want.Beliefs[i])
+			}
+		}
+		// Between runs pos marks exactly the queued nodes.
+		for v, p := range sc.pq.pos {
+			if p >= 0 && (int(p) >= sc.pq.Len() || sc.pq.nodes[p] != int32(v)) {
+				t.Fatalf("%s: pos[%d] = %d names no queued entry", st.name, v, p)
+			}
+		}
 	}
 }
 

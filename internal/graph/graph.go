@@ -157,6 +157,13 @@ func (g *Graph) Observe(v int32, s int) error {
 // to the uniform distribution, undoing any propagation.
 func (g *Graph) ResetBeliefs() {
 	copy(g.Beliefs, g.Priors)
+	g.ResetMessages()
+}
+
+// ResetMessages sets every message to the uniform distribution, the
+// state Builder.Build and MergeDelta give them, without touching node
+// state.
+func (g *Graph) ResetMessages() {
 	u := float32(1) / float32(g.States)
 	for i := range g.Messages {
 		g.Messages[i] = u

@@ -36,6 +36,7 @@ func TestCopyStateFrom(t *testing.T) {
 		t.Fatal(err)
 	}
 	overlay.Messages[0] = 0.123
+	msgs := append([]float32(nil), overlay.Messages...)
 
 	if err := overlay.CopyStateFrom(base); err != nil {
 		t.Fatal(err)
@@ -53,9 +54,18 @@ func TestCopyStateFrom(t *testing.T) {
 			t.Fatalf("observed %d = %v, want %v", i, overlay.Observed[i], base.Observed[i])
 		}
 	}
+	// Node state only: messages keep whatever the overlay last held.
+	for i := range msgs {
+		if overlay.Messages[i] != msgs[i] {
+			t.Fatalf("message %d = %g, want it left at %g", i, overlay.Messages[i], msgs[i])
+		}
+	}
+	// ResetMessages is how a message-reading run gets the base's uniform
+	// messages back.
+	overlay.ResetMessages()
 	for i := range base.Messages {
 		if overlay.Messages[i] != base.Messages[i] {
-			t.Fatalf("message %d = %g, want %g", i, overlay.Messages[i], base.Messages[i])
+			t.Fatalf("reset message %d = %g, want %g", i, overlay.Messages[i], base.Messages[i])
 		}
 	}
 

@@ -355,7 +355,7 @@ func (b *batcher) runFlush(rqs []*ResolvedQuery, trs []*telemetry.Trace, reason 
 		}
 		flat := make([]float32, len(b.r.base.Beliefs))
 		bs.ExtractLane(l, flat)
-		b.r.storeSnapshotBeliefs(flat, rqs[l].dense, gen)
+		b.r.storeSnapshotBeliefs(flat, rqs[l].evidence, gen)
 		if laneWarm[l] {
 			b.r.warmMu.Lock()
 			b.r.warmed++
@@ -415,11 +415,7 @@ func (b *batcher) stageLane(bs *graph.BatchState, l int, rq *ResolvedQuery, snap
 	warm := false
 	if snap != nil {
 		changed := 0
-		for v := range rq.dense {
-			if snap.evidence[v] != rq.dense[v] {
-				changed++
-			}
-		}
+		diffEvidence(snap.evidence, rq.evidence, func(_, _, _ int32) { changed++ })
 		warm = changed <= warmDeltaMinNodes ||
 			float64(changed) <= warmDeltaMax*float64(bs.NumNodes)
 	}
@@ -435,18 +431,18 @@ func (b *batcher) stageLane(bs *graph.BatchState, l int, rq *ResolvedQuery, snap
 		return false, nil
 	}
 	s, kk := bs.States, bs.K
-	for v := 0; v < bs.NumNodes; v++ {
+	diffEvidence(snap.evidence, rq.evidence, func(v, _, now int32) {
 		// Unchanged clamps keep the fixpoint; re-clamped nodes were just
-		// reset by Observe. Only retracted or never-clamped changed nodes
-		// need their beliefs returned to the prior.
-		if snap.evidence[v] == rq.dense[v] || rq.dense[v] != -1 {
-			continue
+		// reset by Observe. Only retracted nodes need their beliefs
+		// returned to the prior.
+		if now != -1 {
+			return
 		}
-		base := v * s * kk
+		base := int(v) * s * kk
 		for j := 0; j < s; j++ {
 			bs.Beliefs[base+j*kk+l] = bs.Priors[base+j*kk+l]
 		}
-	}
+	})
 	return true, nil
 }
 

@@ -8,8 +8,9 @@ import (
 
 // FuzzQueryDecode throws arbitrary bytes at the strict query decoder.
 // The invariant is total: DecodeQuery never panics, and anything it
-// accepts is internally consistent — evidence nodes unique and in range,
-// states within the graph's belief width, response nodes resolvable.
+// accepts is internally consistent — evidence nodes in range and strictly
+// ascending (sorted, no duplicates), states within the graph's belief
+// width, response nodes resolvable.
 // Malformed states, unknown nodes and duplicate evidence must error
 // (the deterministic cases are locked by TestDecodeQueryErrors; the
 // fuzzer explores the space between them).
@@ -46,20 +47,18 @@ func FuzzQueryDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		seen := make(map[int32]bool)
-		for _, ev := range rq.evidence {
+		for i, ev := range rq.evidence {
 			if ev.node < 0 || int(ev.node) >= g.NumNodes {
 				t.Fatalf("accepted out-of-range evidence node %d", ev.node)
 			}
 			if ev.state < 0 || int(ev.state) >= g.States {
 				t.Fatalf("accepted out-of-range state %d for node %d", ev.state, ev.node)
 			}
-			if seen[ev.node] {
-				t.Fatalf("accepted duplicate evidence for node %d", ev.node)
-			}
-			seen[ev.node] = true
-			if rq.dense[ev.node] != ev.state {
-				t.Fatalf("dense view disagrees with evidence pair for node %d", ev.node)
+			// Strictly ascending: sorted for the warm-start merge, and no
+			// node clamped twice.
+			if i > 0 && ev.node <= rq.evidence[i-1].node {
+				t.Fatalf("evidence list not strictly ascending at %d: node %d after %d",
+					i, ev.node, rq.evidence[i-1].node)
 			}
 		}
 		for _, v := range rq.nodes {

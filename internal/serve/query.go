@@ -2,10 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 )
 
@@ -38,11 +40,11 @@ type evidencePayload struct {
 }
 
 // ResolvedQuery is a decoded, validated query bound to one resident:
-// evidence as (node id, state) pairs plus the dense per-node view the
-// warm-start diff needs, and the resolved response node set (nil = all).
+// evidence as (node id, state) pairs sorted by node with one pair per
+// node — the form the warm-start diff merges — and the resolved response
+// node set (nil = all).
 type ResolvedQuery struct {
 	evidence []evPair
-	dense    []int32 // per-node clamped state, -1 = unobserved
 	nodes    []int32 // nil means every node
 }
 
@@ -76,12 +78,7 @@ func (r *Resident) DecodeQuery(data []byte) (*ResolvedQuery, error) {
 		return nil, fmt.Errorf("serve: trailing data after query document")
 	}
 
-	rq := &ResolvedQuery{
-		dense: make([]int32, r.base.NumNodes),
-	}
-	for i := range rq.dense {
-		rq.dense[i] = -1
-	}
+	rq := &ResolvedQuery{}
 	for _, e := range q.Evidence {
 		v, err := r.resolveNode(e.Node)
 		if err != nil {
@@ -94,11 +91,13 @@ func (r *Resident) DecodeQuery(data []byte) (*ResolvedQuery, error) {
 		if st < 0 || st >= r.base.States {
 			return nil, fmt.Errorf("serve: evidence state %d for %q out of range [0,%d)", st, e.Node, r.base.States)
 		}
-		if rq.dense[v] != -1 {
-			return nil, fmt.Errorf("serve: duplicate evidence for node %q", e.Node)
-		}
-		rq.dense[v] = int32(st)
 		rq.evidence = append(rq.evidence, evPair{node: v, state: int32(st)})
+	}
+	slices.SortFunc(rq.evidence, func(a, b evPair) int { return cmp.Compare(a.node, b.node) })
+	for i := 1; i < len(rq.evidence); i++ {
+		if v := rq.evidence[i].node; v == rq.evidence[i-1].node {
+			return nil, fmt.Errorf("serve: duplicate evidence for node %q", r.nodeLabel(v))
+		}
 	}
 	for _, n := range q.Nodes {
 		v, err := r.resolveNode(n)

@@ -143,8 +143,9 @@ func TestWarmIdenticalEvidenceIsFree(t *testing.T) {
 	if !again.Warm || !again.Converged {
 		t.Fatalf("repeat query: warm=%v converged=%v", again.Warm, again.Converged)
 	}
-	if again.Updates != 0 {
-		t.Errorf("identical-evidence warm start applied %d updates, want 0", again.Updates)
+	if again.Updates != 0 || again.Edges != 0 {
+		t.Errorf("identical-evidence warm start applied %d updates over %d edges, want 0 and 0",
+			again.Updates, again.Edges)
 	}
 }
 
@@ -215,6 +216,54 @@ func TestNonSeedableEngineStaysCold(t *testing.T) {
 	}
 	if !resp.Converged {
 		t.Fatalf("node-engine query did not converge (delta %g)", resp.FinalDelta)
+	}
+}
+
+// TestColdEdgeAfterReusedOverlay: the lease re-bases node state only, so
+// a recycled overlay carries the messages of its last run. One overlay
+// serves a warm residual query and then two cold edge-paradigm queries
+// (the edge engine starts from the messages); each edge answer must
+// equal, bitwise, the same query on a fresh server.
+func TestColdEdgeAfterReusedOverlay(t *testing.T) {
+	s, r := newGridServer(t, Config{})
+	overlay := r.base.Clone()
+	r.pool.New = func() any { return overlay } // every lease gets this overlay
+	steps := []struct{ engine, doc string }{
+		{EngineResidual, `{"evidence":[{"node":"136","state":1}]}`},
+		{EngineResidual, `{"evidence":[{"node":"40","state":0}]}`},
+		{EngineEdge, `{"evidence":[{"node":"136","state":1}]}`},
+		{EngineEdge, `{"evidence":[{"node":"200","state":0}]}`},
+	}
+	for i, st := range steps {
+		got, err := s.QueryResident(r, st.engine, decode(t, r, st.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 && !got.Warm {
+			t.Fatal("second residual query ran cold; the warm path is not exercised")
+		}
+		if st.engine != EngineEdge {
+			continue
+		}
+		fs, fr := newGridServer(t, Config{})
+		want, err := fs.QueryResident(fr, st.engine, decode(t, fr, st.doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Iterations != want.Iterations || got.Updates != want.Updates ||
+			got.Edges != want.Edges || got.FinalDelta != want.FinalDelta {
+			t.Errorf("step %d: reused overlay ran %d iterations/%d updates/%d edges/delta %g, fresh server %d/%d/%d/%g",
+				i, got.Iterations, got.Updates, got.Edges, got.FinalDelta,
+				want.Iterations, want.Updates, want.Edges, want.FinalDelta)
+		}
+		for name, wb := range want.Beliefs {
+			gb := got.Beliefs[name]
+			for j := range wb {
+				if math.Float32bits(gb[j]) != math.Float32bits(wb[j]) {
+					t.Fatalf("step %d: node %s belief %v on the reused overlay, %v on a fresh server", i, name, gb, wb)
+				}
+			}
+		}
 	}
 }
 

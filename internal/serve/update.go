@@ -281,24 +281,21 @@ func (s *Server) UpdateResident(r *Resident, ru *ResolvedUpdate) (*UpdateRespons
 	// frontier as seeds.
 	g, leaseGen := r.lease()
 	defer r.release(g)
-	dense := append([]int32(nil), w.evidence...)
-	for v := range dense {
-		if dense[v] < 0 {
-			continue
-		}
-		if g.Observed[v] {
+	evidence := make([]evPair, 0, len(w.evidence))
+	for _, ev := range w.evidence {
+		if g.Observed[ev.node] {
 			// The update clamped this node at base level; the newer clamp
 			// wins over the snapshot's query-time evidence.
-			dense[v] = -1
 			continue
 		}
-		if err := g.Observe(int32(v), int(dense[v])); err != nil {
+		if err := g.Observe(ev.node, int(ev.state)); err != nil {
 			// The mutations are committed; only the re-convergence failed.
 			// Report the full prefix and leave the next query to run cold.
 			r.invalidateWarmThrough(gen)
 			resp.WallNs = time.Since(start).Nanoseconds()
-			return resp, fmt.Errorf("serve: re-clamp node %d: %w", v, err)
+			return resp, fmt.Errorf("serve: re-clamp node %d: %w", ev.node, err)
 		}
+		evidence = append(evidence, ev)
 	}
 	for v := int32(0); v < int32(g.NumNodes); v++ {
 		// Input-free nodes keep their leased beliefs: the delta layer
@@ -315,7 +312,7 @@ func (s *Server) UpdateResident(r *Resident, ru *ResolvedUpdate) (*UpdateRespons
 	resp.Converged = res.Converged
 	resp.Updates = res.Ops.NodesProcessed
 	if res.Converged && leaseGen == gen {
-		r.storeSnapshotBeliefs(g.Beliefs, dense, leaseGen)
+		r.storeSnapshotBeliefs(g.Beliefs, evidence, leaseGen)
 		resp.Warm = true
 	} else {
 		// Failed to re-converge (or raced yet another update): drop our

@@ -18,8 +18,8 @@ import (
 // need the pointer.
 type warmState struct {
 	beliefs  []float32
-	evidence []int32 // dense per-node clamped state, -1 = unobserved
-	gen      uint64  // base generation the fixpoint was converged against
+	evidence []evPair // node-sorted query clamps, as in ResolvedQuery
+	gen      uint64   // base generation the fixpoint was converged against
 }
 
 // snapshot returns the current warm state, or nil when none exists or
@@ -42,8 +42,8 @@ func (r *Resident) snapshot() *warmState {
 
 // storeSnapshot publishes a converged fixpoint as the new warm state,
 // keyed by the base generation the run leased its state at.
-func (r *Resident) storeSnapshot(g *graph.Graph, dense []int32, gen uint64) {
-	r.storeSnapshotBeliefs(g.Beliefs, dense, gen)
+func (r *Resident) storeSnapshot(g *graph.Graph, evidence []evPair, gen uint64) {
+	r.storeSnapshotBeliefs(g.Beliefs, evidence, gen)
 }
 
 // storeSnapshotBeliefs is storeSnapshot over a bare belief array — the
@@ -58,10 +58,10 @@ func (r *Resident) storeSnapshot(g *graph.Graph, dense []int32, gen uint64) {
 // The comparison is against the stored snapshot rather than
 // r.Generation() because the batched flush publishes while holding
 // baseMu.RLock — a nested RLock behind a waiting writer deadlocks.
-func (r *Resident) storeSnapshotBeliefs(beliefs []float32, dense []int32, gen uint64) {
+func (r *Resident) storeSnapshotBeliefs(beliefs []float32, evidence []evPair, gen uint64) {
 	w := &warmState{
 		beliefs:  append([]float32(nil), beliefs...),
-		evidence: append([]int32(nil), dense...),
+		evidence: append([]evPair(nil), evidence...),
 		gen:      gen,
 	}
 	r.warmMu.Lock()
@@ -92,23 +92,48 @@ func (r *Resident) invalidateWarmThrough(gen uint64) {
 	r.warmMu.Unlock()
 }
 
+// diffEvidence merges two node-sorted evidence lists and calls fn, in
+// ascending node order, for every node whose clamp differs between them:
+// added (was == -1), retracted (now == -1) or re-stated. It costs
+// O(len(old)+len(cur)) whatever the graph size, which is what keeps warm
+// staging proportional to the evidence delta.
+func diffEvidence(old, cur []evPair, fn func(v, was, now int32)) {
+	i, j := 0, 0
+	for i < len(old) || j < len(cur) {
+		switch {
+		case j == len(cur) || (i < len(old) && old[i].node < cur[j].node):
+			fn(old[i].node, old[i].state, -1)
+			i++
+		case i == len(old) || cur[j].node < old[i].node:
+			fn(cur[j].node, -1, cur[j].state)
+			j++
+		default:
+			if old[i].state != cur[j].state {
+				fn(cur[j].node, old[i].state, cur[j].state)
+			}
+			i++
+			j++
+		}
+	}
+}
+
 // perturbedFrontier returns the warm-start seed set for moving from the
 // snapshot's evidence to the query's: every node whose clamp changed
 // (added, retracted or re-stated) plus each such node's out-neighbours —
 // exactly the nodes whose residual the evidence delta can move before
 // any update is applied. The returned changed list is the nodes whose
-// beliefs must not be taken from the snapshot.
-func perturbedFrontier(g *graph.Graph, old, cur []int32) (changed, seeds []int32) {
-	for v := int32(0); v < int32(g.NumNodes); v++ {
-		if old[v] == cur[v] {
-			continue
-		}
+// beliefs must not be taken from the snapshot. Identical evidence yields
+// an empty, non-nil seed set: the seeded entry points read nil as "seed
+// every node", a cold start.
+func perturbedFrontier(g *graph.Graph, old, cur []evPair) (changed, seeds []int32) {
+	seeds = []int32{}
+	diffEvidence(old, cur, func(v, _, _ int32) {
 		changed = append(changed, v)
 		seeds = append(seeds, v)
 		for _, e := range g.OutEdges[g.OutOffsets[v]:g.OutOffsets[v+1]] {
 			seeds = append(seeds, g.EdgeDst[e])
 		}
-	}
+	})
 	return changed, seeds
 }
 
@@ -179,7 +204,7 @@ func (s *Server) queryResident(r *Resident, engine string, rq *ResolvedQuery, tr
 	if snap := r.snapshot(); warmable && snap != nil && snap.gen == gen {
 		warm = true
 		stage := tr.Span("stage.warm")
-		changed, seeds := perturbedFrontier(g, snap.evidence, rq.dense)
+		changed, seeds := perturbedFrontier(g, snap.evidence, rq.evidence)
 		// Adopt the fixpoint everywhere the evidence still supports it;
 		// changed nodes restart from their (possibly re-clamped) prior.
 		copy(g.Beliefs, snap.beliefs)
@@ -206,7 +231,7 @@ func (s *Server) queryResident(r *Resident, engine string, rq *ResolvedQuery, tr
 	}
 
 	if res.Converged {
-		r.storeSnapshot(g, rq.dense, gen)
+		r.storeSnapshot(g, rq.evidence, gen)
 		if warm {
 			r.warmMu.Lock()
 			r.warmed++
@@ -245,6 +270,11 @@ func maxIterCap(configured int) int {
 // runCold dispatches a cold start: an explicit engine when overridden,
 // the selector's choice (platform rule + Node/Edge classifier) for auto.
 func (s *Server) runCold(r *Resident, g *graph.Graph, engine string, opts bp.Options, tr *telemetry.Trace) (string, bp.Result, error) {
+	// The lease re-bases node state only, so the overlay still holds the
+	// messages of whatever ran on it last. The edge-paradigm engines
+	// start from the messages; give them the uniform ones every base
+	// holds. The fill costs O(E·S), far below any cold run.
+	g.ResetMessages()
 	eng := core.Engine{Selector: s.cfg.Selector, Options: opts}
 	var impl core.Implementation
 	switch engine {
