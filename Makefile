@@ -4,7 +4,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all build vet fmt staticcheck lint test bench-module cover race fuzz bench telemetry-smoke server-smoke profile clean ci
+.PHONY: all build vet fmt staticcheck lint test determinism bench-module cover race fuzz bench telemetry-smoke server-smoke profile clean ci
 
 all: build
 
@@ -35,6 +35,12 @@ lint: vet fmt staticcheck
 
 test:
 	$(GO) test -shuffle=on ./...
+
+# The CI build job's determinism step: the engines that promise
+# reproducible results, five times each at 1, 2 and 4 procs (a result
+# that depends on worker timing rarely shows at -cpu 1).
+determinism:
+	$(GO) test -count=5 -cpu 1,2,4 -run 'Deterministic|Reproducible' ./internal/poolbp ./internal/ompbp ./internal/cudabp ./cmd/credobench
 
 # The CI build job's benchmark-module step: servebench is a nested
 # module, so the root ./... skips it, yet it compiles against the
@@ -112,4 +118,4 @@ clean:
 		server-smoke-flight.json credoserved.smoke \
 		cpu.pprof poolbp.test
 
-ci: build lint test bench-module cover race fuzz bench telemetry-smoke server-smoke
+ci: build lint test determinism bench-module cover race fuzz bench telemetry-smoke server-smoke

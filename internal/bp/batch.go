@@ -89,8 +89,9 @@ func (sc *batchScratch) release() {
 // convergence state: a lane whose delta falls below the threshold is
 // frozen (its beliefs stop changing, folds skip its writes) while the
 // remaining lanes continue, so every lane reproduces its standalone
-// K=1 run — bitwise, for the vanilla and damped kernels — regardless of
-// how long its batch-mates take. Lanes beyond bs.Used are never touched.
+// K=1 run bitwise regardless of how long its batch-mates take — under
+// every variant, since each lane's circular correction state follows
+// RunNode's sweep discipline. Lanes beyond bs.Used are never touched.
 func RunBatch(g *graph.Graph, bs *graph.BatchState, opts Options) BatchResult {
 	return RunBatchInto(g, bs, opts, make([]LaneResult, bs.Used))
 }
@@ -204,6 +205,7 @@ func runBatch(g *graph.Graph, bs *graph.BatchState, opts Options, sc *batchScrat
 				laneDelta[l] += d
 			}
 		}
+		bk.EndSweep()
 
 		var sum float32
 		for l := 0; l < used; l++ {

@@ -14,8 +14,8 @@ import (
 // per-pixel argmax of max-marginals is the denoised image.
 //
 // Processing is per-node (the paradigm's gather loop) with the same
-// Jacobi updates, log-space accumulation, damping and work-queue frontier
-// as RunNode.
+// Jacobi updates (the loop correction's reverse messages included),
+// log-space accumulation, damping and work-queue frontier as RunNode.
 func RunMaxProduct(g *graph.Graph, opts Options) Result {
 	sc := getScratch()
 	res := runMaxProduct(g, opts, sc)
@@ -25,7 +25,7 @@ func RunMaxProduct(g *graph.Graph, opts Options) Result {
 
 func runMaxProduct(g *graph.Graph, opts Options, sc *runScratch) Result {
 	opts = opts.withDefaults(g.NumNodes)
-	k := kernel.New(g, opts.Kernel)
+	k := kernel.NewSweep(g, opts.Kernel)
 	sc.prev = growF32(sc.prev, len(g.Beliefs))
 	prev := sc.prev
 
@@ -81,6 +81,7 @@ func runMaxProduct(g *graph.Graph, opts Options, sc *runScratch) Result {
 				sum += maxStep(g, &k, sc, &res, v, prev)
 			}
 		}
+		k.EndSweep()
 
 		res.FinalDelta = sum
 		if opts.RecordDeltas {

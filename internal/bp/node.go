@@ -14,7 +14,11 @@ import (
 // combine run through the kernel layer's fused gather (Options.Kernel).
 //
 // Updates are Jacobi-style: all reads within an iteration observe the
-// beliefs of the previous iteration, matching the parallel implementations.
+// state of the previous iteration, matching the parallel implementations.
+// That covers the parent beliefs and, under VariantCircular, the reverse
+// messages of the loop correction: the kernel is built with
+// kernel.NewSweep and commits each sweep's messages at the sweep's end, so
+// the result does not depend on the order the nodes are visited in.
 //
 // With the work queue enabled (§3.5), an iteration processes only the
 // frontier: nodes with at least one parent whose belief changed by more
@@ -40,7 +44,7 @@ func runNode(g *graph.Graph, opts Options, sc *runScratch) Result {
 	if !g.SharedMatrix() {
 		matLines = int64((s*s*4 + 63) / 64)
 	}
-	k := kernel.New(g, opts.Kernel)
+	k := kernel.NewSweep(g, opts.Kernel)
 	sc.prev = growF32(sc.prev, len(g.Beliefs))
 	prev := sc.prev
 
@@ -98,6 +102,7 @@ func runNode(g *graph.Graph, opts Options, sc *runScratch) Result {
 				sum += nodeStep(g, &k, sc, &res, v, prev, gatherLines, matLines)
 			}
 		}
+		k.EndSweep()
 
 		res.FinalDelta = sum
 		if opts.RecordDeltas {

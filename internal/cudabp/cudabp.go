@@ -252,7 +252,10 @@ func RunEdge(g *graph.Graph, dev *gpusim.Device, opts Options) (Result, error) {
 	return res, nil
 }
 
-// RunNode executes CUDA Node loopy BP on dev.
+// RunNode executes CUDA Node loopy BP on dev. Blocks run concurrently, but
+// every node reads the previous launch's state — beliefs from the cur
+// buffer and Circular BP's correction messages through kernel.NewSweep —
+// so the result does not depend on block order.
 func RunNode(g *graph.Graph, dev *gpusim.Device, opts Options) (Result, error) {
 	opts = opts.withDefaults(g.NumNodes)
 	s := g.States
@@ -263,7 +266,7 @@ func RunNode(g *graph.Graph, dev *gpusim.Device, opts Options) (Result, error) {
 	defer dev.Free(bytes)
 	dev.CopyToDevice(g.MemoryFootprint())
 
-	k := kernel.New(g, opts.Kernel)
+	k := kernel.NewSweep(g, opts.Kernel)
 	var res Result
 	cur := append([]float32(nil), g.Beliefs...)
 	nxt := append([]float32(nil), g.Beliefs...)
@@ -356,6 +359,7 @@ func RunNode(g *graph.Graph, dev *gpusim.Device, opts Options) (Result, error) {
 			dev.Launch(gpusim.LaunchConfig{Name: "node_update", Grid: grid, BlockDim: opts.BlockDim, ThreadStateBytes: 8 * s}, nodeBody)
 			sum = launchReduce(g, dev, opts, nodeDelta)
 		}
+		k.EndSweep()
 		for _, v := range active {
 			edgesThisIter += int64(g.InDegree(v))
 		}

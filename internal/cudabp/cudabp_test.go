@@ -8,6 +8,7 @@ import (
 	"credo/internal/gen"
 	"credo/internal/gpusim"
 	"credo/internal/graph"
+	"credo/internal/kernel"
 )
 
 func maxBeliefDiff(a, b *graph.Graph) float64 {
@@ -280,5 +281,35 @@ func TestKernelFusion(t *testing.T) {
 	if devFused.Stats().LaunchTime >= devPlain.Stats().LaunchTime {
 		t.Errorf("fusion did not reduce launch time: %v >= %v",
 			devFused.Stats().LaunchTime, devPlain.Stats().LaunchTime)
+	}
+}
+
+// TestCircularNodeDeterministic pins CUDA Node's determinism under
+// Circular BP: thread blocks run concurrently, but the correction state
+// is double-buffered per sweep, so each node reads the reverse messages
+// committed at the previous launch and two runs must agree bitwise.
+func TestCircularNodeDeterministic(t *testing.T) {
+	base, err := gen.Synthetic(400, 1600, gen.Config{Seed: 21, States: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{BlockDim: 16, Options: bp.Options{Variant: kernel.VariantCircular}}
+	run := func() (*graph.Graph, Result) {
+		g := base.Clone()
+		res, err := RunNode(g, gpusim.NewDevice(gpusim.Pascal()), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g, res
+	}
+	a, ra := run()
+	b, rb := run()
+	if ra.Iterations != rb.Iterations || ra.Converged != rb.Converged {
+		t.Fatalf("iterations/converged %d/%v then %d/%v", ra.Iterations, ra.Converged, rb.Iterations, rb.Converged)
+	}
+	for i := range a.Beliefs {
+		if math.Float32bits(a.Beliefs[i]) != math.Float32bits(b.Beliefs[i]) {
+			t.Fatalf("belief[%d] %v then %v (not bitwise identical)", i, a.Beliefs[i], b.Beliefs[i])
+		}
 	}
 }

@@ -98,11 +98,14 @@ func TestHardCorpusAcceptance(t *testing.T) {
 //     case and all converge under damping, within tolerance of the
 //     matched oracle. (Parallel engines combine in a different order, so
 //     they get the easy-corpus DefaultTol rather than HardTol.)
-//   - Circular BP's per-edge correction state is schedule-sensitive:
-//     the sequential node sweep and the pool's sweep-aligned barriers
-//     read coherent reverse messages, while the edge engine and the
-//     OpenMP port interleave message stores differently and are not
-//     pinned (the sequential pin lives in TestHardCorpusPinnedDivergence).
+//   - Circular BP's per-edge correction state is schedule-sensitive. The
+//     node-paradigm sweep engines (node, ompbp, poolbp) build their kernel
+//     with kernel.NewSweep: every fold reads the reverse messages committed
+//     at the previous sweep barrier, the snapshot the parent beliefs come
+//     from, so neither node order nor worker timing changes a sweep. They
+//     must converge on exactly the pinned cases, within tolerance of the
+//     matched oracle. The edge engine publishes each message as it
+//     computes it and is not pinned.
 //   - Asynchronous engines (residual, relaxbp) choose their own update
 //     order and generally land on different fixpoints of the hard
 //     graphs, so only structural validity plus damped convergence is
@@ -118,6 +121,7 @@ func TestHardCorpusAllEngines(t *testing.T) {
 		c string
 		v kernel.Variant
 	}
+	circularSweep := map[string]bool{"node": true, "ompbp": true, "poolbp": true}
 	oracles := make(map[key]HardOracle)
 	for _, c := range HardCorpus() {
 		for _, v := range HardVariants() {
@@ -167,6 +171,15 @@ func TestHardCorpusAllEngines(t *testing.T) {
 						t.Errorf("%s/%s: sweep engine diverged under damping", e.Name, c.Name)
 					} else if r.Linf > DefaultTol {
 						t.Errorf("%s/%s/damped: %g L∞ from matched oracle, want <= %g", e.Name, c.Name, r.Linf, DefaultTol)
+					}
+				case kernel.VariantCircular:
+					if !circularSweep[e.Name] {
+						break
+					}
+					if r.Converged != c.Expect[v] {
+						t.Errorf("%s/%s/circular: converged=%v, pinned %v", e.Name, c.Name, r.Converged, c.Expect[v])
+					} else if r.Converged && r.Linf > DefaultTol {
+						t.Errorf("%s/%s/circular: %g L∞ from matched oracle, want <= %g", e.Name, c.Name, r.Linf, DefaultTol)
 					}
 				}
 			}

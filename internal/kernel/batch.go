@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"math"
-	"sync/atomic"
 
 	"credo/internal/graph"
 )
@@ -51,7 +50,7 @@ type BatchScratch struct {
 	corr [graph.MaxStates]float32 // circular-corrected parent belief
 	rmsg [graph.MaxStates]float32 // circular reverse-message snapshot
 
-	prior  []float32 // node's per-lane prior block, set by BeginBatch
+	prior  []float32 // node's per-lane prior block, set by beginBatch
 	anyLog bool      // at least one lane is in log space
 }
 
@@ -81,8 +80,9 @@ func (sc *BatchScratch) ensure(s, k int) {
 // BatchKernel is the K-lane view of a graph's matrices: the solo kernel's
 // dispatch plus the lane count. Like Kernel it is immutable and shareable
 // across workers; mutable state lives in BatchScratch (and, for the
-// circular variant, in the per-edge-per-lane correction state, which is
-// accessed atomically).
+// circular variant, in the per-edge-per-lane correction state, which
+// follows the solo kernel's sweep discipline: every batched engine runs
+// synchronous sweeps and calls EndSweep at each barrier).
 type BatchKernel struct {
 	Kernel
 	lanes int
@@ -91,8 +91,8 @@ type BatchKernel struct {
 
 // NewBatch selects the K-lane kernel for one run over g. cfg.Alpha > 0
 // allocates per-edge-per-lane Circular-BP correction state
-// (O(NumEdges·States·K) — the one batched configuration that is not
-// allocation-free after warmup).
+// (O(NumEdges·States·K), double-buffered per sweep like NewSweep's — the
+// one batched configuration that is not allocation-free after warmup).
 func NewBatch(g *graph.Graph, cfg Config, k int) BatchKernel {
 	alpha := cfg.Alpha
 	cfg.Alpha = 0 // the solo edge state is never used by the batched paths
@@ -106,11 +106,21 @@ func NewBatch(g *graph.Graph, cfg Config, k int) BatchKernel {
 // Lanes returns the lane count the kernel was built for.
 func (b *BatchKernel) Lanes() int { return b.lanes }
 
-// BeginBatch starts a K-way combine: prior is the node's per-lane prior
+// EndSweep commits the correction messages the finished sweep wrote, in
+// every lane (see Kernel.EndSweep). For the vanilla and damped variants it
+// does nothing.
+func (b *BatchKernel) EndSweep() {
+	if b.bst != nil {
+		copy(b.bst.msg, b.bst.next)
+	}
+}
+
+// beginBatch starts a K-way combine: prior is the node's per-lane prior
 // block (States*K, SoA) and inDegree its in-edge count. The degree half
 // of the underflow guard applies to every lane alike — it depends only on
-// structure.
-func (b *BatchKernel) BeginBatch(sc *BatchScratch, prior []float32, inDegree int) {
+// structure. NodeUpdateBatch sets the scratch's write mask first; the
+// circular fold and finishBatch honour it.
+func (b *BatchKernel) beginBatch(sc *BatchScratch, prior []float32, inDegree int) {
 	s, k := b.s, b.lanes
 	sc.ensure(s, k)
 	sc.prior = prior
@@ -141,12 +151,12 @@ func (b *BatchKernel) BeginBatch(sc *BatchScratch, prior []float32, inDegree int
 	}
 }
 
-// AccumulateBatch folds in-edge e into all K lanes: parent is the source
+// accumulateBatch folds in-edge e into all K lanes: parent is the source
 // node's per-lane belief block (States*K, SoA). The fast path loads each
 // transposed-matrix coefficient once and fuses it into K lane MACs; the
 // per-lane clamp, multiply and rescale check reproduce the solo kernel's
 // fold for each lane exactly.
-func (b *BatchKernel) AccumulateBatch(sc *BatchScratch, e int32, parent []float32) {
+func (b *BatchKernel) accumulateBatch(sc *BatchScratch, e int32, parent []float32) {
 	if b.bst != nil {
 		b.accumulateCircularBatch(sc, e, parent)
 		return
@@ -379,16 +389,16 @@ func (b *BatchKernel) rescaleLane(sc *BatchScratch, l int, m float32) {
 	}
 }
 
-// FinishBatch completes the combine into the node's per-lane destination
+// finishBatch completes the combine into the node's per-lane destination
 // block (States*K, SoA), writing only lanes whose write mask is set —
 // finished or clamped lanes keep their beliefs without breaking the SoA
 // stride. Each written lane is the solo Finish of that lane's state:
 // prior-multiply, normalize, degrade to uniform on a zero or non-finite
 // sum.
-func (b *BatchKernel) FinishBatch(sc *BatchScratch, dst []float32, write []bool) {
+func (b *BatchKernel) finishBatch(sc *BatchScratch, dst []float32) {
 	s, k := b.s, b.lanes
 	for l := 0; l < k; l++ {
-		if !write[l] {
+		if !sc.wr[l] {
 			continue
 		}
 		if sc.logl[l] {
@@ -450,13 +460,13 @@ func (b *BatchKernel) NodeUpdateBatch(sc *BatchScratch, dst []float32, v int32, 
 	}
 	lo, hi := g.InOffsets[v], g.InOffsets[v+1]
 	base := int(v) * s * k
-	b.BeginBatch(sc, priors[base:base+s*k], int(hi-lo))
+	b.beginBatch(sc, priors[base:base+s*k], int(hi-lo))
 	for _, e := range g.InEdges[lo:hi] {
 		src := int(g.EdgeSrc[e])
-		b.AccumulateBatch(sc, e, from[src*s*k:src*s*k+s*k])
+		b.accumulateBatch(sc, e, from[src*s*k:src*s*k+s*k])
 	}
 	nb := dst[base : base+s*k]
-	b.FinishBatch(sc, nb, wr)
+	b.finishBatch(sc, nb)
 	if b.damping > 0 {
 		old := from[base : base+s*k]
 		d := b.damping
@@ -475,15 +485,18 @@ func (b *BatchKernel) NodeUpdateBatch(sc *BatchScratch, dst []float32, v int32, 
 
 // batchEdgeState is the Circular-BP correction state of a batched run:
 // the last message sent along every directed edge, per lane, at index
-// (e*States+j)*K+k. Entries are float32 bit patterns accessed atomically
-// so the parallel batched engine can read a reverse message another
-// worker is writing; lanes are fully independent — one lane's correction
-// never reads another lane's message.
+// (e*States+j)*K+k. It always follows the sweep discipline of the solo
+// kernel's NewSweep: folds read msg and write next, and EndSweep commits
+// next over msg at the sweep barrier. Within a sweep no worker reads an
+// entry another worker writes, so the entries are plain floats. Lanes are
+// fully independent — one lane's correction never reads another lane's
+// message.
 type batchEdgeState struct {
 	alpha float32
 	lanes int
 	rev   []int32
-	msg   []uint32
+	msg   []float32 // committed messages, read by every fold
+	next  []float32 // this sweep's messages, committed by EndSweep
 }
 
 func newBatchEdgeState(g *graph.Graph, states, lanes int, alpha float32) *batchEdgeState {
@@ -491,42 +504,49 @@ func newBatchEdgeState(g *graph.Graph, states, lanes int, alpha float32) *batchE
 		alpha: alpha,
 		lanes: lanes,
 		rev:   buildReverseIndex(g),
-		msg:   make([]uint32, g.NumEdges*states*lanes),
+		msg:   make([]float32, g.NumEdges*states*lanes),
 	}
-	u := math.Float32bits(1 / float32(states))
+	u := 1 / float32(states)
 	for i := range st.msg {
 		st.msg[i] = u
 	}
+	st.next = append([]float32(nil), st.msg...)
 	return st
 }
 
-// loadLane reads edge e's last lane-l message into dst.
+// loadLane reads edge e's committed lane-l message into dst.
 func (st *batchEdgeState) loadLane(dst []float32, e int32, s, l int) {
 	base := int(e) * s * st.lanes
 	for j := 0; j < s; j++ {
-		dst[j] = math.Float32frombits(atomic.LoadUint32(&st.msg[base+j*st.lanes+l]))
+		dst[j] = st.msg[base+j*st.lanes+l]
 	}
 }
 
-// storeLane publishes edge e's new lane-l message.
+// storeLane writes edge e's new lane-l message for the next sweep.
 func (st *batchEdgeState) storeLane(src []float32, e int32, s, l int) {
 	base := int(e) * s * st.lanes
 	for j := 0; j < s; j++ {
-		atomic.StoreUint32(&st.msg[base+j*st.lanes+l], math.Float32bits(src[j]))
+		st.next[base+j*st.lanes+l] = src[j]
 	}
 }
 
-// accumulateCircularBatch is the Circular-BP fold of in-edge e for all K
-// lanes: per lane, materialize the α-corrected normalized message from
-// that lane's parent and that lane's reverse message, publish it to the
-// lane's correction state, and fold it into the lane's accumulator. The
-// per-lane math mirrors the solo accumulateCircular exactly; only the
-// correction state is lane-indexed, which is what keeps lanes from
-// cross-contaminating through the loop correction.
+// accumulateCircularBatch is the Circular-BP fold of in-edge e for the
+// lanes the node update writes: per lane, materialize the α-corrected
+// normalized message from that lane's parent and that lane's reverse
+// message, publish it to the lane's correction state, and fold it into the
+// lane's accumulator. The per-lane math mirrors the solo
+// accumulateCircular exactly; only the correction state is lane-indexed,
+// which is what keeps lanes from cross-contaminating through the loop
+// correction. A lane outside the write mask (frozen, or clamped at this
+// node) neither folds nor publishes, so its messages carry forward just as
+// they do in a solo run that skips the node.
 func (b *BatchKernel) accumulateCircularBatch(sc *BatchScratch, e int32, parent []float32) {
 	s, k := b.s, b.lanes
 	sc.Counters.FastPath++
 	for l := 0; l < k; l++ {
+		if !sc.wr[l] {
+			continue
+		}
 		lp := sc.lane[:s]
 		for j := 0; j < s; j++ {
 			lp[j] = parent[j*k+l]

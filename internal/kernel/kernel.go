@@ -143,9 +143,9 @@ type Config struct {
 	// Alpha, when positive, enables Circular-BP loop correction
 	// (VariantCircular): each message along e=(u→v) is computed from the
 	// corrected source belief b_u · m_{v→u}^(−α), requiring per-edge
-	// correction state allocated by New (O(NumEdges·States) — the one
-	// configuration that is not allocation-free). Zero keeps the vanilla
-	// path: one nil check per fold.
+	// correction state allocated by New (O(NumEdges·States), twice that
+	// from NewSweep — the one configuration that is not allocation-free).
+	// Zero keeps the vanilla path: one nil check per fold.
 	Alpha float32
 }
 
@@ -211,8 +211,8 @@ type Kernel struct {
 
 	// st carries the Circular-BP per-edge correction state; nil means
 	// vanilla (every fold pays one nil check). It is shared by all copies
-	// of the kernel value, which is what lets concurrent workers exchange
-	// reverse messages.
+	// of the kernel value, so every worker of a run reads and publishes
+	// the same messages.
 	st *edgeState
 
 	// sharedT/shared cache the shared-matrix case so per-edge dispatch is
@@ -222,7 +222,9 @@ type Kernel struct {
 }
 
 // New selects the kernel for one run over g. It ensures the graph carries
-// transposed matrix copies (a no-op for graphs from Builder.Build).
+// transposed matrix copies (a no-op for graphs from Builder.Build). Under
+// VariantCircular a fold reads the reverse messages live, as the last fold
+// of each edge left them: the kernel for engines with no sweep barrier.
 func New(g *graph.Graph, cfg Config) Kernel {
 	g.EnsureTransposed()
 	k := Kernel{
@@ -260,6 +262,31 @@ func New(g *graph.Graph, cfg Config) Kernel {
 		k.sharedT = g.Shared.T
 	}
 	return k
+}
+
+// NewSweep is New for engines that run synchronous (Jacobi) sweeps. Under
+// VariantCircular every fold of a sweep reads the reverse messages as they
+// stood at the end of the previous sweep, the snapshot its parent beliefs
+// come from, and the engine commits each sweep's messages by calling
+// EndSweep at the sweep barrier. For the vanilla and damped variants it is
+// New.
+func NewSweep(g *graph.Graph, cfg Config) Kernel {
+	k := New(g, cfg)
+	if k.st != nil {
+		k.st.next = append([]uint32(nil), k.st.msg...)
+	}
+	return k
+}
+
+// EndSweep commits the correction messages the finished sweep wrote, so
+// that the next sweep reads them. Call it once per sweep, after the
+// sweep's last node update and before the next sweep's first. Without
+// sweep correction state (vanilla, damped, or a kernel from New) it does
+// nothing.
+func (k *Kernel) EndSweep() {
+	if k.st != nil && k.st.next != nil {
+		copy(k.st.msg, k.st.next)
+	}
 }
 
 // States returns the belief width the kernel was built for.

@@ -80,21 +80,36 @@ const (
 	DefaultDamping = 0.5
 
 	// DefaultAlpha is the loop-correction strength VariantCircular uses
-	// when Config.Alpha is unset. α=1 cancels the full echo (the standard
-	// BP message rule); fractional α interpolates toward vanilla.
+	// when Config.Alpha is unset. α=1 cancels the full echo; on the sweep
+	// engines (NewSweep), which divide out the very reverse message the
+	// parent belief was built from, it is the standard BP message rule.
+	// Fractional α interpolates toward vanilla.
 	DefaultAlpha = 1.0
 )
 
 // edgeState is the per-run Circular-BP correction state: the last message
-// sent along every directed edge plus the reverse-edge index. Message
-// entries are float32 bit patterns accessed atomically so concurrent
-// engines (poolbp, relaxbp, ompbp) can read a reverse message another
-// worker is writing without a data race; each entry is independently
-// consistent, which is all the α-scaled correction needs.
+// sent along every directed edge plus the reverse-edge index. Every fold
+// reads the reverse message from msg; where it publishes its own message
+// depends on the engine's schedule:
+//
+//   - Live (New): the fold stores into msg, so the next fold to read the
+//     edge sees it at once. The asynchronous engines (residual, relaxbp)
+//     and the edge paradigm have no sweep to align with. Entries are
+//     float32 bit patterns accessed atomically so concurrent engines
+//     (relaxbp and the parallel edge paradigms) can read a reverse
+//     message another worker is writing without a data race.
+//   - Sweep (NewSweep): the fold stores into next, and EndSweep commits
+//     next over msg at the sweep barrier. Every read within a sweep then
+//     sees the messages as they stood at the end of the previous sweep,
+//     the same snapshot as the Jacobi belief buffer, so the outcome does
+//     not depend on node order or worker timing. next equals msg when a
+//     sweep starts, so the messages into nodes the sweep does not update
+//     (clamped nodes, work-queue skips) carry forward unchanged.
 type edgeState struct {
 	alpha float32
 	rev   []int32  // rev[e] = edge id of the paired reverse edge, or -1
-	msg   []uint32 // last message per edge, len NumEdges·States, atomic bits
+	msg   []uint32 // committed message per edge, len NumEdges·States, atomic bits
+	next  []uint32 // sweep mode: this sweep's messages; nil when live
 }
 
 // newEdgeState builds the correction state for one run over g: the
@@ -148,11 +163,16 @@ func (st *edgeState) load(dst []float32, e int32, s int) {
 	}
 }
 
-// store publishes edge e's new message.
+// store publishes edge e's new message: to msg when live, to next under
+// the sweep discipline.
 func (st *edgeState) store(src []float32, e int32, s int) {
+	dst := st.msg
+	if st.next != nil {
+		dst = st.next
+	}
 	base := int(e) * s
 	for j := 0; j < s; j++ {
-		atomic.StoreUint32(&st.msg[base+j], math.Float32bits(src[j]))
+		atomic.StoreUint32(&dst[base+j], math.Float32bits(src[j]))
 	}
 }
 

@@ -200,3 +200,46 @@ func FuzzDampedKernel(f *testing.F) {
 		}
 	})
 }
+
+// TestSweepUpdatesIgnoreSweepOrder pins the sweep discipline at the
+// kernel level: under NewSweep a node's circular update reads only the
+// messages EndSweep committed, so visiting one sweep's nodes in forward
+// or reverse order gives bitwise the same beliefs, sweep after sweep. The
+// live kernel (New) reads what the current sweep already published, and
+// on the same ring its result depends on the order.
+func TestSweepUpdatesIgnoreSweepOrder(t *testing.T) {
+	const s = 3
+	g := buildRing(t, s, 8, 7)
+	cfg := kernel.Config{Mode: kernel.Specialized, Alpha: 1}
+	sweeps := func(k kernel.Kernel, reverse bool) []float32 {
+		from := append([]float32(nil), g.Beliefs...)
+		to := make([]float32, len(from))
+		var sc kernel.Scratch
+		for it := 0; it < 5; it++ {
+			for i := 0; i < g.NumNodes; i++ {
+				v := int32(i)
+				if reverse {
+					v = int32(g.NumNodes - 1 - i)
+				}
+				k.NodeUpdate(&sc, to[int(v)*s:int(v)*s+s], v, from)
+			}
+			k.EndSweep()
+			from, to = to, from
+		}
+		return from
+	}
+	same := func(a, b []float32) bool {
+		for i := range a {
+			if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !same(sweeps(kernel.NewSweep(g, cfg), false), sweeps(kernel.NewSweep(g, cfg), true)) {
+		t.Error("sweep kernel: forward and reverse node order give different beliefs")
+	}
+	if same(sweeps(kernel.New(g, cfg), false), sweeps(kernel.New(g, cfg), true)) {
+		t.Error("live kernel ignores node order too: the ring does not exercise the correction")
+	}
+}

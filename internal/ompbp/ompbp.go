@@ -126,6 +126,9 @@ func AtomicAddFloat32(bits []uint32, i int, delta float32) {
 // RunNode executes loopy BP with per-node processing across CPU threads.
 // Each node is owned by exactly one worker per iteration, so no atomics are
 // needed; the cost is the repeated random-order loads of parent states.
+// Every read observes the previous iteration (beliefs, and Circular BP's
+// correction messages through kernel.NewSweep), so a node's update does
+// not depend on which thread ran its neighbours first.
 func RunNode(g *graph.Graph, opts Options) bp.Result {
 	opts = opts.withDefaults()
 	o := opts.Options
@@ -144,7 +147,7 @@ func RunNode(g *graph.Graph, opts Options) bp.Result {
 	deltas := make([]float32, g.NumNodes)
 	inNext := make([]bool, g.NumNodes)
 	partial := make([]float32, opts.Threads)
-	k := kernel.New(g, o.Kernel)
+	k := kernel.NewSweep(g, o.Kernel)
 	kss := make([]kernel.Scratch, opts.Threads)
 
 	var res bp.Result
@@ -187,6 +190,7 @@ func RunNode(g *graph.Graph, opts Options) bp.Result {
 			deltas[v] = d
 			partial[worker] += d
 		})
+		k.EndSweep()
 
 		var sum float32
 		for _, p := range partial {

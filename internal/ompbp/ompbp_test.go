@@ -8,6 +8,7 @@ import (
 	"credo/internal/bp"
 	"credo/internal/gen"
 	"credo/internal/graph"
+	"credo/internal/kernel"
 )
 
 func maxBeliefDiff(a, b *graph.Graph) float64 {
@@ -154,6 +155,32 @@ func TestThreadCountsProduceSameBeliefs(t *testing.T) {
 		RunNode(g, Options{Threads: threads})
 		if d := maxBeliefDiff(ref, g); d > 1e-3 {
 			t.Errorf("threads=%d beliefs diverge by %v", threads, d)
+		}
+	}
+}
+
+// TestCircularNodeDeterministicAcrossThreadCounts pins the node
+// paradigm's determinism under Circular BP: the correction state is
+// double-buffered per sweep, so a node's update reads only the beliefs
+// and reverse messages of the previous sweep, and 1 and 4 threads must
+// produce bitwise-identical beliefs after the same number of sweeps.
+func TestCircularNodeDeterministicAcrossThreadCounts(t *testing.T) {
+	base, err := gen.Synthetic(400, 1600, gen.Config{Seed: 21, States: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := bp.Options{Variant: kernel.VariantCircular}
+	ref := base.Clone()
+	refRes := RunNode(ref, Options{Threads: 1, Options: o})
+	g := base.Clone()
+	res := RunNode(g, Options{Threads: 4, Options: o})
+	if res.Iterations != refRes.Iterations || res.Converged != refRes.Converged {
+		t.Fatalf("iterations/converged %d/%v, 1 thread %d/%v",
+			res.Iterations, res.Converged, refRes.Iterations, refRes.Converged)
+	}
+	for i := range ref.Beliefs {
+		if math.Float32bits(ref.Beliefs[i]) != math.Float32bits(g.Beliefs[i]) {
+			t.Fatalf("belief[%d] %v, 1 thread %v (not bitwise identical)", i, g.Beliefs[i], ref.Beliefs[i])
 		}
 	}
 }

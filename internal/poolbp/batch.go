@@ -154,6 +154,7 @@ func RunBatch(g *graph.Graph, bs *graph.BatchState, opts Options) bp.BatchResult
 		rr.run(computeBody)
 		endCompute()
 		res.Ops.SyncOps += int64(workers)
+		bk.EndSweep()
 
 		cur, nxt = nxt, cur
 		curIsBeliefs = !curIsBeliefs

@@ -39,6 +39,7 @@ func TestPoolBatchLaneEquivalence(t *testing.T) {
 		{2, 8, 1, kernel.VariantVanilla},
 		{2, 8, 4, kernel.VariantVanilla},
 		{3, 8, 1, kernel.VariantDamped},
+		{3, 8, 4, kernel.VariantCircular},
 		{5, 32, 1, kernel.VariantVanilla},
 	} {
 		name := fmt.Sprintf("states=%d/k=%d/check=%d/variant=%v", c.states, c.k, c.checkEvery, c.variant)

@@ -10,8 +10,9 @@
 //
 //   - RunNode: per-node, pull-based processing. No atomics touch the
 //     numeric state; each node is owned by exactly one worker per sweep
-//     and updates are Jacobi-style against a double buffer, so the final
-//     beliefs are bitwise identical for any worker count.
+//     and updates are Jacobi-style against a double buffer (beliefs, and
+//     Circular BP's correction messages through kernel.NewSweep), so the
+//     final beliefs are bitwise identical for any worker count.
 //   - RunEdge: per-edge processing with the sharded atomic combine into
 //     the destination accumulators (the CAS cost the paper weighs against
 //     the node paradigm's redundant loads).
@@ -204,7 +205,7 @@ func RunNode(g *graph.Graph, opts Options) bp.Result {
 	mark := make([]uint32, g.NumNodes)
 	shardDelta := make([]float32, shards)
 	workerOps := make([]bp.OpCounts, workers)
-	k := kernel.New(g, o.Kernel)
+	k := kernel.NewSweep(g, o.Kernel)
 	ks := make([]kernel.Scratch, workers)
 
 	var res bp.Result
@@ -293,6 +294,7 @@ func RunNode(g *graph.Graph, opts Options) bp.Result {
 		rr.run(computeBody)
 		endCompute()
 		res.Ops.SyncOps += int64(workers)
+		k.EndSweep() // the workers are parked: commit the sweep's correction messages
 
 		if o.WorkQueue {
 			endRebuild := telemetry.StartRegion(ctx, "rebuild")

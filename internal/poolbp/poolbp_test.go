@@ -8,6 +8,7 @@ import (
 	"credo/internal/bp"
 	"credo/internal/gen"
 	"credo/internal/graph"
+	"credo/internal/kernel"
 )
 
 func maxBeliefDiff(a, b *graph.Graph) float64 {
@@ -232,25 +233,34 @@ func TestDampingStabilizes(t *testing.T) {
 }
 
 // TestDampedNodeDeterministicAcrossWorkerCounts extends the pool's
-// fixpoint-determinism contract to damped mode: the in-kernel blend is a
-// pure function of the previous sweep's beliefs, so damped runs must stay
+// fixpoint-determinism contract to the robust variants: the in-kernel
+// blend is a pure function of the previous sweep's beliefs, and Circular
+// BP's correction state is double-buffered per sweep, so every node reads
+// the reverse messages committed at the previous sweep barrier no matter
+// which worker wrote them or when. Damped and circular runs must stay
 // bitwise identical across team sizes exactly like vanilla runs.
 func TestDampedNodeDeterministicAcrossWorkerCounts(t *testing.T) {
-	base := testGraph(t, 400, 1600, 21, 3)
-	ref := base.Clone()
-	refRes := RunNode(ref, Options{Workers: 1, Options: bp.Options{Damping: 0.5}})
-	for _, workers := range []int{4, 16} {
-		g := base.Clone()
-		res := RunNode(g, Options{Workers: workers, Options: bp.Options{Damping: 0.5}})
-		for i := range ref.Beliefs {
-			if ref.Beliefs[i] != g.Beliefs[i] {
-				t.Fatalf("workers=%d: damped belief[%d] %v != %v (not bitwise identical)",
-					workers, i, g.Beliefs[i], ref.Beliefs[i])
+	for _, o := range []bp.Options{
+		{Damping: 0.5},
+		{Variant: kernel.VariantCircular},
+	} {
+		variant := o.ResolveVariant().Variant
+		base := testGraph(t, 400, 1600, 21, 3)
+		ref := base.Clone()
+		refRes := RunNode(ref, Options{Workers: 1, Options: o})
+		for _, workers := range []int{4, 16} {
+			g := base.Clone()
+			res := RunNode(g, Options{Workers: workers, Options: o})
+			for i := range ref.Beliefs {
+				if ref.Beliefs[i] != g.Beliefs[i] {
+					t.Fatalf("%s workers=%d: belief[%d] %v != %v (not bitwise identical)",
+						variant, workers, i, g.Beliefs[i], ref.Beliefs[i])
+				}
 			}
-		}
-		if res.Iterations != refRes.Iterations || res.Converged != refRes.Converged {
-			t.Errorf("workers=%d: iterations/converged %d/%v, want %d/%v",
-				workers, res.Iterations, res.Converged, refRes.Iterations, refRes.Converged)
+			if res.Iterations != refRes.Iterations || res.Converged != refRes.Converged {
+				t.Errorf("%s workers=%d: iterations/converged %d/%v, want %d/%v",
+					variant, workers, res.Iterations, res.Converged, refRes.Iterations, refRes.Converged)
+			}
 		}
 	}
 }
