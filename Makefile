@@ -61,7 +61,7 @@ cover:
 # telemetry sinks, the parallel ingest path and the serving layer,
 # twice, under the race detector.
 race:
-	$(GO) test -race -count=2 ./internal/poolbp/ ./internal/ompbp/ ./internal/cudabp/ ./internal/bp/ ./internal/relaxbp/ ./internal/enginetest/ ./internal/kernel/ ./internal/telemetry/ ./internal/mtxbp/ ./internal/graph/ ./internal/serve/
+	$(GO) test -race -count=2 -timeout 30m ./internal/poolbp/ ./internal/ompbp/ ./internal/cudabp/ ./internal/bp/ ./internal/relaxbp/ ./internal/enginetest/ ./internal/kernel/ ./internal/telemetry/ ./internal/mtxbp/ ./internal/graph/ ./internal/serve/
 
 # The CI fuzz-smoke job: 20s on each parser fuzz target. The ingest
 # differential runs as its own invocation — -fuzz takes one target, and

@@ -77,8 +77,6 @@ func build(args []string, out io.Writer) (*app, error) {
 	maxInFlight := fs.Int("max-inflight", serve.DefaultMaxInFlight, "queries executing concurrently")
 	maxQueue := fs.Int("max-queue", 0, "admitted-but-waiting queries beyond -max-inflight before shedding with 429 (0 = 4x max-inflight)")
 	retryAfter := fs.Duration("retry-after", time.Second, "Retry-After hint on shed responses")
-	batchK := fs.Int("batch-k", serve.DefaultBatchK, "cross-query batch width: auto-engine queries per graph accumulate and run as one K-lane SoA batch (1 disables batching)")
-	batchWindow := fs.Duration("batch-window", serve.DefaultBatchWindow, "batch accumulation deadline: a partial batch flushes this long after its first query")
 	threshold := fs.Float64("threshold", bp.DefaultThreshold, "convergence threshold")
 	maxIter := fs.Int("maxiter", bp.DefaultMaxIterations, "iteration cap per query")
 	mrf := fs.Bool("mrf", true, "double directed BIF/XMLBIF networks into MRF form on load, so evidence flows against edge direction")
@@ -155,8 +153,6 @@ func build(args []string, out io.Writer) (*app, error) {
 		MaxInFlight:   *maxInFlight,
 		MaxQueue:      *maxQueue,
 		RetryAfter:    *retryAfter,
-		BatchK:        *batchK,
-		BatchWindow:   *batchWindow,
 		Probe:         telemetry.Multi(probes...),
 		Tracer:        a.tracer,
 		MRF:           *mrf,
@@ -217,10 +213,6 @@ func (a *app) run(ctx context.Context, ready func(addr string)) error {
 	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	// Flush pending batches before the shutdown deadline can bite:
-	// Shutdown waits for in-flight handlers, and batched handlers block
-	// on their window timer.
-	a.srv.DrainBatchers()
 	if err := hs.Shutdown(shutCtx); err != nil {
 		return err
 	}

@@ -182,9 +182,10 @@ type serveCase struct {
 // than a cold start (hysteresis), so drift past WarmTol at high churn
 // is a finding, not a failure.
 //
-// The second half measures the cross-query batcher as a server: the
+// The second half measures batched execution against solo serving: the
 // same query set served solo (sequential auto-engine queries, warm
-// path enabled) vs in K-lane batched flushes via Server.QueryBatched.
+// path enabled — the daemon's path) vs in K-lane batched flushes via
+// Server.QueryBatched.
 func RunServeStudy(w io.Writer, cfg Config) error {
 	type graphCase struct {
 		name string
@@ -263,22 +264,18 @@ func RunServeStudy(w io.Writer, cfg Config) error {
 	}
 
 	// Batched vs unbatched serving, across the churn sweep: one-at-a-time
-	// auto-engine queries (warm path on — the daemon with batching
-	// disabled) vs K-lane flushes through Server.QueryBatched. At low
-	// churn the solo path's warm residual increment is frontier-local and
-	// nearly free, so batching — which re-converges every lane with full
-	// synchronous sweeps — loses on wall clock; as churn approaches
+	// auto-engine queries (warm path on — the daemon's query path) vs
+	// K-lane flushes through Server.QueryBatched. At low churn the solo
+	// path's warm residual increment is frontier-local and nearly free,
+	// so batching — which re-converges every lane with full synchronous
+	// sweeps — loses on wall clock; as churn approaches
 	// independent-evidence clients (100%) the warm increment degenerates
-	// to a cold run and the batcher's amortized structure pass claws the
-	// gap back toward parity. The residual schedule's update advantage
-	// (it touches only what moved; the batch sweeps everything) means the
-	// batcher's decisive win is admission, not latency: each flush of K
-	// queries consumes one admission slot, so a saturated server admits
-	// K× the query throughput. The sweeps/conv columns watch for the
+	// to a cold run and the batch's amortized structure pass claws the
+	// gap back toward parity. The sweeps/conv columns watch for the
 	// warm-staging pathology the per-lane delta gate exists to prevent —
 	// an oscillating warm-staged lane dragging the whole flush to the
 	// iteration cap.
-	const batchK = 8
+	const batchK = serve.DefaultBatchK
 	const batchQueries = 16
 	fmt.Fprintf(w, "\nbatched vs unbatched serving (%s, %d queries per regime, K=%d):\n",
 		spec.Abbrev, batchQueries, batchK)
@@ -288,7 +285,7 @@ func RunServeStudy(w io.Writer, cfg Config) error {
 	for _, churn := range []int{5, 25, 100} {
 		docs := churnStream(social.NumNodes, social.States, batchQueries, churn, cfg.Seed+1)
 
-		soloSrv := serve.New(serve.Config{Options: cfg.Options, Workers: cfg.PoolWorkers, BatchK: 1})
+		soloSrv := serve.New(serve.Config{Options: cfg.Options, Workers: cfg.PoolWorkers})
 		soloRes, err := soloSrv.Load("bench", social.Clone())
 		if err != nil {
 			return err
@@ -308,7 +305,7 @@ func RunServeStudy(w io.Writer, cfg Config) error {
 		}
 		soloWall := time.Since(start)
 
-		batchSrv := serve.New(serve.Config{Options: cfg.Options, Workers: cfg.PoolWorkers, BatchK: batchK})
+		batchSrv := serve.New(serve.Config{Options: cfg.Options, Workers: cfg.PoolWorkers})
 		batchRes, err := batchSrv.Load("bench", social.Clone())
 		if err != nil {
 			return err

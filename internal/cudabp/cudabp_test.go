@@ -2,6 +2,7 @@ package cudabp
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"credo/internal/bp"
@@ -255,6 +256,10 @@ func TestTransferDominatesSmallGraphs(t *testing.T) {
 }
 
 func TestKernelFusion(t *testing.T) {
+	// gpusim commits float atomic adds in goroutine order, so two Edge
+	// runs agree bitwise only when Device.Launch runs its blocks in index
+	// order — which it does on a single worker.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	g, err := gen.Synthetic(300, 1200, gen.Config{Seed: 14, States: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -271,8 +276,10 @@ func TestKernelFusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Functionally identical.
-	if d := maxBeliefDiff(g1, g2); d > 1e-6 {
-		t.Errorf("fused beliefs differ by %v", d)
+	for i := range g1.Beliefs {
+		if math.Float32bits(g1.Beliefs[i]) != math.Float32bits(g2.Beliefs[i]) {
+			t.Fatalf("fused belief %d = %v, plain %v", i, g2.Beliefs[i], g1.Beliefs[i])
+		}
 	}
 	if r1.Iterations != r2.Iterations {
 		t.Errorf("iterations differ: %d vs %d", r1.Iterations, r2.Iterations)

@@ -2,12 +2,9 @@ package serve
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"credo/internal/telemetry"
 )
@@ -33,8 +30,10 @@ func batchDocs(n int) []string {
 // TestQueryBatchedMatchesSolo is the serving-layer differential: every
 // lane of a cold batch flush must land within WarmTol of the same query
 // served solo on a fresh server — the batch must not change answers.
+// The flush also counts once, at its occupancy, on the batch counters.
 func TestQueryBatchedMatchesSolo(t *testing.T) {
-	s, r := newGridServer(t, Config{})
+	m := &telemetry.Metrics{}
+	s, r := newGridServer(t, Config{Probe: m})
 	docs := batchDocs(6)
 	rqs := make([]*ResolvedQuery, len(docs))
 	for i, d := range docs {
@@ -64,6 +63,13 @@ func TestQueryBatchedMatchesSolo(t *testing.T) {
 		}
 		if resp.Updates <= 0 || resp.Edges <= 0 || resp.Iterations <= 0 {
 			t.Errorf("lane %d: empty accounting %+v", i, resp)
+		}
+	}
+	var text bytes.Buffer
+	m.WriteText(&text)
+	for _, want := range []string{"credo_serve_batch_flushes 1\n", "credo_serve_batch_occupancy 6\n"} {
+		if !strings.Contains(text.String(), want) {
+			t.Errorf("metrics text misses %q:\n%s", want, text.String())
 		}
 	}
 }
@@ -108,101 +114,18 @@ func TestQueryBatchedWarmStart(t *testing.T) {
 	}
 }
 
-// TestBatcherFlushOnFull pins the K trigger: with an effectively infinite
-// window, BatchK concurrent requests complete as exactly one flush at
-// full occupancy.
-func TestBatcherFlushOnFull(t *testing.T) {
-	m := &telemetry.Metrics{}
-	s, r := newGridServer(t, Config{BatchK: 4, BatchWindow: time.Hour, Probe: m})
-	b := s.batcherFor(r)
-
-	var wg sync.WaitGroup
-	resps := make([]*Response, 4)
-	errs := make([]error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resps[i], errs[i] = b.enqueue(decode(t, r, fmt.Sprintf(`{"evidence":[{"node":"%d","state":1}]}`, i*11)), nil)
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("full batch never flushed — the K trigger did not fire")
-	}
-	for i := 0; i < 4; i++ {
-		if errs[i] != nil {
-			t.Fatalf("lane %d: %v", i, errs[i])
-		}
-		if !resps[i].Converged || resps[i].Engine != EngineBatch {
-			t.Errorf("lane %d: %+v", i, resps[i])
-		}
-	}
-	var text bytes.Buffer
-	m.WriteText(&text)
-	for _, want := range []string{`credo_serve_batch_flushes{reason="full"} 1`, "credo_serve_batch_occupancy 4"} {
-		if !strings.Contains(text.String(), want) {
-			t.Errorf("metrics text misses %q:\n%s", want, text.String())
-		}
-	}
-}
-
-// TestBatcherFlushOnDeadline pins the window trigger: a lone query in an
-// 8-lane batcher flushes at the window, not at K.
-func TestBatcherFlushOnDeadline(t *testing.T) {
-	m := &telemetry.Metrics{}
-	s, r := newGridServer(t, Config{BatchK: 8, BatchWindow: 5 * time.Millisecond, Probe: m})
-	resp, err := s.batcherFor(r).enqueue(decode(t, r, `{"evidence":[{"node":"136","state":1}]}`), nil)
-	if err != nil {
-		t.Fatalf("enqueue: %v", err)
-	}
-	if !resp.Converged || resp.Engine != EngineBatch {
-		t.Fatalf("deadline flush: %+v", resp)
-	}
-	var text bytes.Buffer
-	m.WriteText(&text)
-	for _, want := range []string{`credo_serve_batch_flushes{reason="deadline"} 1`, "credo_serve_batch_occupancy 1"} {
-		if !strings.Contains(text.String(), want) {
-			t.Errorf("metrics text misses %q:\n%s", want, text.String())
-		}
-	}
-}
-
-// TestBatcherShedsWhenSaturated locks the admission contract of a flush:
-// a saturated gate sheds the whole batch as errSaturated (the HTTP layer
-// turns that into 429) and counts one shed per pending request.
-func TestBatcherShedsWhenSaturated(t *testing.T) {
-	m := &telemetry.Metrics{}
-	s, r := newGridServer(t, Config{MaxInFlight: 1, MaxQueue: 1, BatchK: 4, BatchWindow: time.Millisecond, Probe: m})
-	s.adm.slots <- struct{}{}
-	s.adm.waiting.Add(1)
-	defer func() {
-		<-s.adm.slots
-		s.adm.waiting.Add(-1)
-	}()
-
-	_, err := s.batcherFor(r).enqueue(decode(t, r, `{}`), nil)
-	if !errors.Is(err, errSaturated) {
-		t.Fatalf("saturated enqueue: err = %v, want errSaturated", err)
-	}
-	var text bytes.Buffer
-	m.WriteText(&text)
-	if !strings.Contains(text.String(), "credo_serve_shed_total 1") {
-		t.Errorf("metrics text misses the shed counter:\n%s", text.String())
-	}
-}
-
 // TestQueryBatchedValidation pins the flush-size contract.
 func TestQueryBatchedValidation(t *testing.T) {
-	s, r := newGridServer(t, Config{BatchK: 2})
+	s, r := newGridServer(t, Config{})
 	if _, err := s.QueryBatched(r, nil); err == nil {
 		t.Error("empty flush accepted")
 	}
 	rq := decode(t, r, `{}`)
-	if _, err := s.QueryBatched(r, []*ResolvedQuery{rq, rq, rq}); err == nil {
+	rqs := make([]*ResolvedQuery, DefaultBatchK+1)
+	for i := range rqs {
+		rqs[i] = rq
+	}
+	if _, err := s.QueryBatched(r, rqs); err == nil {
 		t.Error("over-capacity flush accepted")
 	}
 }

@@ -123,16 +123,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	// Auto-engine queries route through the cross-query batcher when it
-	// is enabled: same-graph requests accumulate for up to BatchWindow
-	// (or until BatchK lanes fill) and run as one SoA batch, paying one
-	// admission slot and one structure pass for the whole flush. Explicit
-	// engine overrides keep the solo path.
-	if s.cfg.BatchK > 1 && (engine == EngineAuto || engine == EngineBatch) {
-		s.handleBatchedQuery(w, req, r)
-		return
-	}
-
 	tr := s.cfg.Tracer.Start("query")
 	defer tr.Finish()
 
@@ -197,57 +187,6 @@ func (s *Server) shed(tr *telemetry.Trace) {
 		RetryAfterSec: int64(retryAfterSeconds(s.cfg.RetryAfter)),
 		Waiting:       s.adm.waitDepth(),
 	})
-}
-
-// handleBatchedQuery enqueues one request on the resident's batcher and
-// blocks until its flush completes. Admission happens per flush inside
-// the batcher; a shed flush surfaces here as errSaturated and keeps the
-// solo path's 429 contract. Each batched request still emits its own
-// serve.query event, so the per-query counters stay comparable across
-// batched and solo serving.
-func (s *Server) handleBatchedQuery(w http.ResponseWriter, req *http.Request, r *Resident) {
-	tr := s.cfg.Tracer.Start("query")
-	defer tr.Finish()
-
-	dec := tr.Span("decode")
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxQueryBytes))
-	if err != nil {
-		dec.End()
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("read query: %v", err))
-		return
-	}
-	rq, err := r.DecodeQuery(body)
-	dec.End()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	resp, err := s.batcherFor(r).enqueue(rq, tr)
-	if err != nil {
-		if errors.Is(err, errSaturated) {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-			writeError(w, http.StatusTooManyRequests, "server saturated, retry later")
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	s.emit(telemetry.Event{
-		Kind:      telemetry.KindServe,
-		Engine:    "serve.query",
-		Worker:    -1,
-		Impl:      resp.Engine,
-		Variant:   s.variant,
-		Batched:   true,
-		Warm:      resp.Warm,
-		Converged: resp.Converged,
-		Updated:   resp.Updates,
-		Iter:      int32(resp.Iterations),
-		BusyNs:    resp.WallNs,
-		Active:    s.adm.depth(),
-		Items:     s.adm.capacity(),
-	})
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleUpdate applies a delta batch to the resident and re-converges

@@ -65,7 +65,8 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 		t.Fatalf("graphs listing = %+v", infos)
 	}
 
-	// First query: cold, converged, full belief map.
+	// First query: cold, converged, full belief map, answered by the
+	// solo path's cold selection — the daemon does not batch.
 	hr, body := postJSON(t, ts.URL+"/v1/query", `{"evidence":[{"node":"136","state":1}]}`)
 	if hr.StatusCode != http.StatusOK {
 		t.Fatalf("query = %d: %s", hr.StatusCode, body)
@@ -76,6 +77,9 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	}
 	if qr.Warm || !qr.Converged || len(qr.Beliefs) != 256 {
 		t.Fatalf("first query: warm=%v converged=%v beliefs=%d", qr.Warm, qr.Converged, len(qr.Beliefs))
+	}
+	if qr.Engine == "" || qr.Engine == EngineBatch {
+		t.Fatalf("first auto query answered by engine %q, want a solo engine", qr.Engine)
 	}
 
 	// Second query: warm path over HTTP.
@@ -92,10 +96,26 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 		t.Fatalf("warm query: warm=%v converged=%v beliefs=%d", warm.Warm, warm.Converged, len(warm.Beliefs))
 	}
 
-	// The Metrics sink saw both queries and one warm start.
+	// Third query, auto engine again: it resumes the snapshot on the
+	// solo warm path.
+	hr, body = postJSON(t, ts.URL+"/v1/query",
+		`{"evidence":[{"node":"136","state":1},{"node":"40","state":0},{"node":"41","state":1}],"nodes":["41"]}`)
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("warm auto query = %d: %s", hr.StatusCode, body)
+	}
+	var auto Response
+	if err := json.Unmarshal(body, &auto); err != nil {
+		t.Fatal(err)
+	}
+	if !auto.Warm || !auto.Converged || auto.Engine != EngineResidual {
+		t.Fatalf("warm auto query: warm=%v converged=%v engine=%q, want warm residual",
+			auto.Warm, auto.Converged, auto.Engine)
+	}
+
+	// The Metrics sink saw all three queries and two warm starts.
 	var text bytes.Buffer
 	m.WriteText(&text)
-	for _, want := range []string{"credo_serve_queries_total 2", "credo_serve_warm_total 1"} {
+	for _, want := range []string{"credo_serve_queries_total 3", "credo_serve_warm_total 2"} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("metrics text misses %q:\n%s", want, text.String())
 		}

@@ -20,8 +20,8 @@ const (
 	EngineResidual = "residual"
 	EngineRelax    = "relax"
 	EnginePool     = "pool"
-	// EngineBatch requests the cross-query batcher explicitly; auto
-	// routes there too whenever batching is enabled (Config.BatchK > 1).
+	// EngineBatch labels the responses of Server.QueryBatched. As a
+	// query override it is still accepted and runs as auto.
 	EngineBatch = "batch"
 )
 

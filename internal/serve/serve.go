@@ -88,25 +88,14 @@ type Config struct {
 	// one second.
 	RetryAfter time.Duration
 
-	// BatchK is the lane capacity of the cross-query batcher: auto-engine
-	// queries against one resident accumulate and run as a single K-way
-	// SoA batch. Zero means DefaultBatchK; 1 or negative disables
-	// batching (every query runs solo, the pre-batching behaviour).
-	BatchK int
-
-	// BatchWindow is the batcher's accumulation deadline: a partial batch
-	// flushes this long after its first query arrives. Zero means
-	// DefaultBatchWindow.
-	BatchWindow time.Duration
-
 	// Probe receives both the engines' run telemetry and the serving
 	// layer's KindServe events. Nil disables instrumentation.
 	Probe telemetry.Probe
 
 	// Tracer, when non-nil, samples requests into request-scoped traces:
 	// the HTTP layer opens a trace per sampled query and every stage the
-	// request crosses (admission, decode, batching, staging, the engine
-	// run, extraction) records a span on it. Anomalous traces land in the
+	// request crosses (admission, decode, staging, the engine run,
+	// extraction) records a span on it. Anomalous traces land in the
 	// tracer's flight recorder. Nil disables tracing entirely.
 	Tracer *telemetry.Tracer
 
@@ -156,12 +145,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
-	}
-	if cfg.BatchK == 0 {
-		cfg.BatchK = DefaultBatchK
-	}
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = DefaultBatchWindow
 	}
 	return &Server{
 		cfg:      cfg,

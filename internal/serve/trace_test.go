@@ -35,7 +35,7 @@ func spanNames(rec *telemetry.FlightRecord) map[string]bool {
 // extraction — plus the convergence trajectory the engine's iteration
 // events mirrored into the trace.
 func TestSoloQueryTrace(t *testing.T) {
-	s, ts, _ := newHTTPServer(t, Config{BatchK: 1}) // solo path
+	s, ts, _ := newHTTPServer(t, Config{})
 	tc := telemetry.NewTracer(1)
 	tc.SlowNs = 0
 	tc.Flight = telemetry.NewFlightRecorder(16)
@@ -59,8 +59,8 @@ func TestSoloQueryTrace(t *testing.T) {
 			t.Errorf("span %q missing from %v", want, rec.Spans)
 		}
 	}
-	if rec.Engine == "" || rec.Warm || rec.Batched {
-		t.Errorf("labels: engine=%q warm=%v batched=%v", rec.Engine, rec.Warm, rec.Batched)
+	if rec.Engine == "" || rec.Warm {
+		t.Errorf("labels: engine=%q warm=%v", rec.Engine, rec.Warm)
 	}
 	if len(rec.Trajectory) == 0 {
 		t.Error("no convergence trajectory mirrored into the trace")
@@ -74,7 +74,7 @@ func TestSoloQueryTrace(t *testing.T) {
 // query must warm-start and its trace must carry the stage.warm span and
 // the warm label.
 func TestWarmQueryTraceStagesWarm(t *testing.T) {
-	s, r, flight := newTracedServer(t, Config{BatchK: 1})
+	s, r, flight := newTracedServer(t, Config{})
 	tr1 := s.cfg.Tracer.Start("query")
 	if _, err := s.queryResident(r, EngineAuto, decode(t, r, `{"evidence":[{"node":"0","state":1}]}`), tr1); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestWarmQueryTraceStagesWarm(t *testing.T) {
 // plus the waiting-line depth at rejection time.
 func TestShedEventCarriesRetryAfterAndWaiting(t *testing.T) {
 	rec := &telemetry.Recorder{}
-	s, ts, _ := newHTTPServer(t, Config{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 7 * time.Second, BatchK: 1})
+	s, ts, _ := newHTTPServer(t, Config{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 7 * time.Second})
 	s.cfg.Probe = rec
 
 	s.adm.slots <- struct{}{}
@@ -144,7 +144,7 @@ func TestShedEventCarriesRetryAfterAndWaiting(t *testing.T) {
 // TestShedTraceFlagged: a shed request's trace reaches the flight
 // recorder flagged "shed".
 func TestShedTraceFlagged(t *testing.T) {
-	s, ts, _ := newHTTPServer(t, Config{MaxInFlight: 1, MaxQueue: 1, BatchK: 1})
+	s, ts, _ := newHTTPServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
 	tc := telemetry.NewTracer(1)
 	tc.Flight = telemetry.NewFlightRecorder(4)
 	s.cfg.Tracer = tc // SlowNs = -1: only the shed flag can capture
@@ -168,96 +168,12 @@ func TestShedTraceFlagged(t *testing.T) {
 	}
 }
 
-// TestBatchedQueryTrace checks the batched path's span tree: the wait
-// span from accumulation, per-lane staging, the shared run and the
-// per-lane extraction, all labelled batched.
-func TestBatchedQueryTrace(t *testing.T) {
-	s, r, flight := newTracedServer(t, Config{BatchK: 8, BatchWindow: 5 * time.Millisecond})
-	tr := s.cfg.Tracer.Start("query")
-	resp, err := s.batcherFor(r).enqueue(decode(t, r, `{"evidence":[{"node":"0","state":1}]}`), tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Finish()
-	if resp.Engine != EngineBatch {
-		t.Fatalf("engine %q", resp.Engine)
-	}
-
-	recs := flight.Records()
-	if len(recs) != 1 {
-		t.Fatalf("captured %d, want 1", len(recs))
-	}
-	rec := recs[0]
-	if !rec.Batched || rec.Engine != EngineBatch {
-		t.Errorf("labels: %+v", rec)
-	}
-	names := spanNames(rec)
-	for _, want := range []string{"batch.wait", "stage", "run", "extract"} {
-		if !names[want] {
-			t.Errorf("span %q missing from %v", want, rec.Spans)
-		}
-	}
-	if len(rec.Trajectory) == 0 {
-		t.Error("batched trace carries no trajectory")
-	}
-}
-
-// TestDrainBatchersFlushesShutdown: pending queries flush immediately on
-// drain with the shutdown reason label.
-func TestDrainBatchersFlushesShutdown(t *testing.T) {
-	rec := &telemetry.Recorder{}
-	s, r := newGridServer(t, Config{BatchK: 8, BatchWindow: time.Hour, Probe: rec})
-
-	respc := make(chan *Response, 1)
-	go func() {
-		resp, err := s.batcherFor(r).enqueue(decode(t, r, `{"evidence":[{"node":"0","state":1}]}`), nil)
-		if err != nil {
-			respc <- nil
-			return
-		}
-		respc <- resp
-	}()
-	// Wait for the query to join the pending batch before draining.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b := s.batcherFor(r)
-		b.mu.Lock()
-		n := len(b.pending)
-		b.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("query never joined the pending batch")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	s.DrainBatchers()
-	resp := <-respc
-	if resp == nil || !resp.Converged {
-		t.Fatalf("drained response: %+v", resp)
-	}
-
-	found := false
-	for _, e := range rec.Events() {
-		if e.Kind == telemetry.KindServe && e.Engine == "serve.batch" {
-			if e.Flush != telemetry.FlushShutdown {
-				t.Errorf("flush reason = %v, want shutdown", e.Flush)
-			}
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no serve.batch event from the drain flush")
-	}
-}
-
 // BenchmarkTraceOverhead measures the serving path with tracing off
 // (nil tracer — the default) and with every request traced, so the
 // enabled-path overhead stays visible in the bench-smoke artifact.
 func BenchmarkTraceOverhead(b *testing.B) {
 	run := func(b *testing.B, tc *telemetry.Tracer) {
-		s := New(Config{BatchK: 1, Tracer: tc})
+		s := New(Config{Tracer: tc})
 		g, err := gen.Grid(16, 16, gen.Config{Seed: 5, States: 2, Shared: true, Keep: 0.6})
 		if err != nil {
 			b.Fatal(err)

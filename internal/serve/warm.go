@@ -171,9 +171,8 @@ func (s *Server) queryResident(r *Resident, engine string, rq *ResolvedQuery, tr
 		return nil, err
 	}
 	if engine == EngineBatch {
-		// The solo path has no batched implementation; an explicit batch
-		// override reaching it (direct callers, batching disabled) runs
-		// as auto.
+		// Batched execution is reachable only through QueryBatched; an
+		// explicit batch override runs as auto.
 		engine = EngineAuto
 	}
 	start := time.Now()
@@ -225,7 +224,7 @@ func (s *Server) queryResident(r *Resident, engine string, rq *ResolvedQuery, tr
 			return nil, err
 		}
 	}
-	tr.SetQuery(label, s.variant, warm, false)
+	tr.SetQuery(label, s.variant, warm)
 	if cap := opts.MaxIterations; res.Iterations >= maxIterCap(cap) && !res.Converged {
 		tr.MarkIterCap()
 	}

@@ -23,7 +23,6 @@ type FlightRecord struct {
 	Engine      string       `json:"engine,omitempty"`
 	Variant     string       `json:"variant,omitempty"`
 	Warm        bool         `json:"warm"`
-	Batched     bool         `json:"batched"`
 	StartUnixNs int64        `json:"start_unix_ns"`
 	WallNs      int64        `json:"wall_ns"`
 	Iterations  int32        `json:"iterations"`

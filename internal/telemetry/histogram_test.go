@@ -104,7 +104,7 @@ func TestHistVecConcurrent(t *testing.T) {
 	for _, want := range []string{
 		`credo_serve_stage_seconds_count{stage="admit"} 1600`,
 		`credo_serve_stage_seconds_count{stage="run"} 1600`,
-		`credo_serve_latency_seconds_count{engine="pool.node",variant="vanilla",start="cold",path="solo"} 1600`,
+		`credo_serve_latency_seconds_count{engine="pool.node",variant="vanilla",start="cold"} 1600`,
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("exposition missing %q", want)
@@ -122,7 +122,7 @@ func TestLatencyQuantileExposition(t *testing.T) {
 	var sb strings.Builder
 	m.WriteText(&sb)
 	got := sb.String()
-	if !strings.Contains(got, `credo_serve_latency_quantile_seconds{engine="relax",variant="damped",start="warm",path="solo",q="0.5"}`) {
+	if !strings.Contains(got, `credo_serve_latency_quantile_seconds{engine="relax",variant="damped",start="warm",q="0.5"}`) {
 		t.Fatalf("missing p50 gauge:\n%s", got)
 	}
 	if !strings.Contains(got, `q="0.99"`) || !strings.Contains(got, `q="0.95"`) {

@@ -112,8 +112,6 @@ func (j *JSONLWriter) Emit(e Event) {
 				b = append(b, e.Variant...)
 				b = append(b, '"')
 			}
-			b = append(b, `,"batched":`...)
-			b = strconv.AppendBool(b, e.Batched)
 		case "serve.update":
 			// A graph delta batch: Iter carries the applied mutation
 			// count, Updated the belief updates of the warm snapshot's
@@ -127,12 +125,6 @@ func (j *JSONLWriter) Emit(e Event) {
 		case "serve.shed":
 			b = appendInt(b, "retry_after_s", e.RetryAfterSec)
 			b = appendInt(b, "waiting", e.Waiting)
-		case "serve.batch":
-			if e.Flush != FlushNone {
-				b = append(b, `,"flush":"`...)
-				b = append(b, e.Flush.String()...)
-				b = append(b, '"')
-			}
 		}
 		b = appendInt(b, "depth", e.Active)
 		b = appendInt(b, "capacity", e.Items)

@@ -45,33 +45,26 @@ type Metrics struct {
 	servLoads     atomic.Int64 // graphs loaded into the serving registry
 	servDepth     atomic.Int64 // last observed admission depth (in-flight + waiting)
 	servWallNs    atomic.Int64 // wall clock of the last served query
-	servFlushes   atomic.Int64 // cross-query batch flushes (serve.batch)
+	servFlushes   atomic.Int64 // batched flushes (serve.batch)
 	servBatched   atomic.Int64 // lanes occupied across batch flushes
 	servWaiting   atomic.Int64 // waiting-line depth at the last shed
 
-	// flushBy counts batch flushes by FlushReason (indexed by the
-	// reason's ordinal) — the signal adaptive -batch-window tuning needs.
-	flushBy [FlushDirect + 1]atomic.Int64
-
 	// Histogram families, created on first use so the zero-value
 	// Metrics literal every caller builds keeps working.
-	histOnce    sync.Once
-	lat         *histVec[LatencyKey] // serve latency by query labels
-	latAll      *Histogram           // aggregate across all label sets
-	stage       *histVec[string]     // per-pipeline-stage wall (trace spans)
-	deadlineOcc *Histogram           // lane occupancy at deadline flushes
+	histOnce sync.Once
+	lat      *histVec[LatencyKey] // serve latency by query labels
+	latAll   *Histogram           // aggregate across all label sets
+	stage    *histVec[string]     // per-pipeline-stage wall (trace spans)
 
 	mu         sync.Mutex
 	lastEngine string
 }
 
-// LatencyKey labels one served-latency series: the four dimensions the
-// batcher-tuning analysis slices by.
+// LatencyKey labels one served-latency series.
 type LatencyKey struct {
-	Engine  string // resolved implementation ("residual", "batch", ...)
+	Engine  string // resolved implementation ("residual", "pool.node", ...)
 	Variant string // update rule ("vanilla", "damped", "circular")
 	Warm    bool   // warm-start vs cold
-	Batched bool   // batch lane vs solo path
 }
 
 // hists lazily builds the histogram families.
@@ -80,8 +73,6 @@ func (m *Metrics) hists() {
 		m.lat = newHistVec[LatencyKey](DefaultLatencyBounds)
 		m.latAll = NewHistogram(DefaultLatencyBounds)
 		m.stage = newHistVec[string](DefaultLatencyBounds)
-		// Occupancy is 1..K lanes; unit-ish buckets cover any plausible K.
-		m.deadlineOcc = NewHistogram([]float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64})
 	})
 }
 
@@ -149,7 +140,7 @@ func (m *Metrics) Emit(e Event) {
 			m.servWallNs.Store(e.BusyNs)
 			m.servDepth.Store(e.Active)
 			m.hists()
-			key := LatencyKey{Engine: e.Impl, Variant: e.Variant, Warm: e.Warm, Batched: e.Batched}
+			key := LatencyKey{Engine: e.Impl, Variant: e.Variant, Warm: e.Warm}
 			if key.Engine == "" {
 				key.Engine = "unknown"
 			}
@@ -168,15 +159,6 @@ func (m *Metrics) Emit(e Event) {
 			// occupancy/flushes is the mean batch fill.
 			m.servFlushes.Add(1)
 			m.servBatched.Add(e.Active)
-			m.flushBy[e.Flush].Add(1)
-			if e.Flush == FlushDeadline {
-				// Occupancy at the deadline is the direct input to
-				// adaptive window sizing: a window that keeps expiring
-				// near-empty is too long (or K too large) for the
-				// observed arrival rate.
-				m.hists()
-				m.deadlineOcc.Observe(float64(e.Active))
-			}
 		case "serve.load":
 			m.servLoads.Add(1)
 		case "serve.update":
@@ -232,12 +214,7 @@ func (m *Metrics) WriteText(w io.Writer) {
 	counter("credo_serve_loads_total", "Graphs loaded into the serving registry.", m.servLoads.Load())
 	counter("credo_serve_updates_total", "Graph delta batches applied to residents.", m.servUpdates.Load())
 	counter("credo_serve_mutations_total", "Mutations landed across all delta batches.", m.servMutations.Load())
-	// Batch flushes carry the trigger as a label; the series sum is the
-	// former unlabeled total.
-	fmt.Fprintf(w, "# HELP credo_serve_batch_flushes Cross-query batch flushes executed, by trigger.\n# TYPE credo_serve_batch_flushes counter\n")
-	for r := FlushFull; r <= FlushDirect; r++ {
-		fmt.Fprintf(w, "credo_serve_batch_flushes{reason=%q} %d\n", r.String(), m.flushBy[r].Load())
-	}
+	counter("credo_serve_batch_flushes", "Batched flushes executed.", m.servFlushes.Load())
 	counter("credo_serve_batch_occupancy", "Lanes occupied across batch flushes (occupancy/flushes = mean fill).", m.servBatched.Load())
 	gauge("credo_serve_depth", "Admission depth (in-flight + waiting) at the last serve event.", float64(m.servDepth.Load()))
 	gauge("credo_serve_waiting", "Admission waiting-line depth at the last shed.", float64(m.servWaiting.Load()))
@@ -258,9 +235,9 @@ func (m *Metrics) WriteText(w io.Writer) {
 // quantiles exported per latency series alongside the raw buckets.
 var latencyQuantiles = []float64{0.5, 0.95, 0.99}
 
-// writeHistograms renders the latency, stage and batch-occupancy
-// histogram families. Families that never observed anything are elided
-// entirely, so non-serving processes keep their exposition unchanged.
+// writeHistograms renders the latency and stage histogram families.
+// Families that never observed anything are elided entirely, so
+// non-serving processes keep their exposition unchanged.
 func (m *Metrics) writeHistograms(w io.Writer) {
 	m.hists() // synchronizes with concurrent emitters creating the families
 	if keys := m.lat.keys(); len(keys) > 0 {
@@ -272,10 +249,7 @@ func (m *Metrics) writeHistograms(w io.Writer) {
 			if a.Variant != b.Variant {
 				return a.Variant < b.Variant
 			}
-			if a.Warm != b.Warm {
-				return !a.Warm
-			}
-			return !a.Batched
+			return !a.Warm && b.Warm
 		})
 		fmt.Fprintf(w, "# HELP credo_serve_latency_seconds Served query latency.\n# TYPE credo_serve_latency_seconds histogram\n")
 		for _, k := range keys {
@@ -297,25 +271,17 @@ func (m *Metrics) writeHistograms(w io.Writer) {
 			m.stage.at(k).WriteProm(w, "credo_serve_stage_seconds", fmt.Sprintf("stage=%q", k))
 		}
 	}
-	if m.deadlineOcc.Count() > 0 {
-		fmt.Fprintf(w, "# HELP credo_serve_batch_deadline_occupancy Lanes occupied when the accumulation window expired.\n# TYPE credo_serve_batch_deadline_occupancy histogram\n")
-		m.deadlineOcc.WriteProm(w, "credo_serve_batch_deadline_occupancy", "")
-	}
 }
 
 // latencyLabels renders a LatencyKey as a Prometheus label set. The
-// warm/cold and batch/solo booleans surface as the categorical names
-// the histogram contract promises.
+// warm/cold boolean surfaces as the categorical name the histogram
+// contract promises.
 func latencyLabels(k LatencyKey) string {
 	start := "cold"
 	if k.Warm {
 		start = "warm"
 	}
-	path := "solo"
-	if k.Batched {
-		path = "batch"
-	}
-	return fmt.Sprintf("engine=%q,variant=%q,start=%q,path=%q", k.Engine, k.Variant, start, path)
+	return fmt.Sprintf("engine=%q,variant=%q,start=%q", k.Engine, k.Variant, start)
 }
 
 // Handler returns an http.Handler serving the text exposition.
@@ -334,16 +300,11 @@ func (m *Metrics) snapshot() any {
 	m.hists()
 	latCount := m.latAll.Count()
 	p50, p95, p99 := m.latAll.Quantile(0.5), m.latAll.Quantile(0.95), m.latAll.Quantile(0.99)
-	flushes := map[string]int64{}
-	for r := FlushFull; r <= FlushDirect; r++ {
-		flushes[r.String()] = m.flushBy[r].Load()
-	}
 	return map[string]any{
 		"serve_latency_count":   latCount,
 		"serve_latency_p50":     p50,
 		"serve_latency_p95":     p95,
 		"serve_latency_p99":     p99,
-		"serve_flush_reasons":   flushes,
 		"serve_waiting":         m.servWaiting.Load(),
 		"runs":                  m.runs.Load(),
 		"runs_converged":        m.converged.Load(),

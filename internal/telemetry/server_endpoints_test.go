@@ -46,12 +46,12 @@ func TestServerEndpointsUnderConcurrentEmission(t *testing.T) {
 				sp := tr.Span("run")
 				tr.Emit(Event{Kind: KindIteration, Engine: "relax", Iter: int32(i), Delta: 0.5})
 				sp.End()
-				tr.SetQuery("relax", "vanilla", i%2 == 0, false)
+				tr.SetQuery("relax", "vanilla", i%2 == 0)
 				tr.Finish()
 				m.Emit(Event{Kind: KindServe, Engine: "serve.query", Impl: "relax",
 					Warm: i%2 == 0, BusyNs: int64(i%1000+1) * 1000})
 				m.Emit(Event{Kind: KindServe, Engine: "serve.batch",
-					Flush: FlushDeadline, Active: int64(i%8 + 1), Items: 8})
+					Active: int64(i%8 + 1), Items: 8})
 				m.Emit(Event{Kind: KindServe, Engine: "serve.shed",
 					RetryAfterSec: 1, Waiting: int64(i % 4)})
 			}
@@ -80,8 +80,6 @@ func TestServerEndpointsUnderConcurrentEmission(t *testing.T) {
 		for _, want := range []string{
 			"credo_serve_latency_seconds_bucket",
 			"credo_serve_stage_seconds_bucket",
-			"credo_serve_batch_deadline_occupancy_bucket",
-			`credo_serve_batch_flushes{reason="deadline"}`,
 		} {
 			if i > 10 && !strings.Contains(metrics, want) {
 				t.Errorf("scrape %d missing %q", i, want)

@@ -9,7 +9,7 @@ import (
 
 // Request-scoped tracing. A Tracer hands out pooled Traces — one per
 // sampled serving request — and every layer the request crosses opens a
-// Span on it: admission wait, batch accumulation, warm-vs-cold staging,
+// Span on it: admission wait, decode, warm-vs-cold staging,
 // the engine run (the engines open their own span through
 // bp.Options.Trace) and belief extraction. Engine probe events mirror
 // into the trace as a bounded convergence trajectory, so a finished
@@ -44,7 +44,6 @@ const (
 	flagShed
 	flagIterCap
 	flagNonConverged
-	flagColdDelta
 )
 
 // flagNames renders the set flags as the flight record's reason list.
@@ -58,7 +57,6 @@ func flagNames(f traceFlag) []string {
 		{flagShed, "shed"},
 		{flagIterCap, "iter_cap"},
 		{flagNonConverged, "non_converged"},
-		{flagColdDelta, "cold_large_delta"},
 	} {
 		if f&r.flag != 0 {
 			out = append(out, r.name)
@@ -76,8 +74,8 @@ type Tracer struct {
 	Metrics *Metrics
 
 	// Flight, when non-nil, retains anomalous traces: any trace with an
-	// anomaly flag set (slow, shed, iteration cap, non-converged lane,
-	// cold-staged-on-large-delta) is captured at Finish.
+	// anomaly flag set (slow, shed, iteration cap, non-converged run) is
+	// captured at Finish.
 	Flight *FlightRecorder
 
 	// SlowNs is the latency anomaly threshold: a trace whose total wall
@@ -160,9 +158,8 @@ type TracePoint struct {
 
 // Trace is one request's span tree and convergence trajectory. All
 // methods are safe on a nil receiver (the unsampled/disabled state) and
-// safe for concurrent use — spans and probe events may arrive from the
-// batcher and engine worker goroutines while the handler goroutine owns
-// the request.
+// safe for concurrent use — probe events may arrive from engine worker
+// goroutines while the handler goroutine owns the request.
 type Trace struct {
 	tracer *Tracer
 	id     uint64
@@ -178,7 +175,6 @@ type Trace struct {
 	engine     string
 	variant    string
 	warm       bool
-	batched    bool
 	endIter    int32
 	endDelta   float32
 	done       bool
@@ -234,12 +230,12 @@ func (s Span) End() {
 
 // SetQuery attaches the resolved query labels — the latency-histogram
 // dimensions — to the trace for its flight record.
-func (t *Trace) SetQuery(engine, variant string, warm, batched bool) {
+func (t *Trace) SetQuery(engine, variant string, warm bool) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.engine, t.variant, t.warm, t.batched = engine, variant, warm, batched
+	t.engine, t.variant, t.warm = engine, variant, warm
 	t.mu.Unlock()
 }
 
@@ -248,13 +244,6 @@ func (t *Trace) MarkShed() { t.mark(flagShed) }
 
 // MarkIterCap flags the run as stopped by the iteration cap.
 func (t *Trace) MarkIterCap() { t.mark(flagIterCap) }
-
-// MarkNonConverged flags a lane or run that ended unconverged.
-func (t *Trace) MarkNonConverged() { t.mark(flagNonConverged) }
-
-// MarkColdDelta flags a batch lane staged cold because its evidence
-// delta against the warm snapshot was too large.
-func (t *Trace) MarkColdDelta() { t.mark(flagColdDelta) }
 
 func (t *Trace) mark(f traceFlag) {
 	if t == nil {
@@ -353,7 +342,6 @@ func (t *Trace) record(total time.Duration) *FlightRecord {
 		Engine:      t.engine,
 		Variant:     t.variant,
 		Warm:        t.warm,
-		Batched:     t.batched,
 		StartUnixNs: t.start.UnixNano(),
 		WallNs:      total.Nanoseconds(),
 		Iterations:  t.endIter,
@@ -385,7 +373,7 @@ func (t *Trace) reset() {
 	t.lostSpans, t.lostPoints = 0, 0
 	t.flags = 0
 	t.engine, t.variant = "", ""
-	t.warm, t.batched = false, false
+	t.warm = false
 	t.endIter, t.endDelta = 0, 0
 	t.done = false
 }

@@ -18,11 +18,9 @@ func TestNilTracerIsFree(t *testing.T) {
 	sp := tr.Span("admit")
 	sp.Child("inner").End()
 	sp.End()
-	tr.SetQuery("relax", "vanilla", true, false)
+	tr.SetQuery("relax", "vanilla", true)
 	tr.MarkShed()
 	tr.MarkIterCap()
-	tr.MarkNonConverged()
-	tr.MarkColdDelta()
 	tr.Emit(Event{Kind: KindIteration})
 	if d := tr.Finish(); d != 0 {
 		t.Errorf("nil Finish = %v, want 0", d)
@@ -68,7 +66,7 @@ func TestTraceCapturesSpanTree(t *testing.T) {
 	tr.Emit(Event{Kind: KindIteration, Engine: "relax", Iter: 1, Delta: 0.5, Updated: 10, Active: 3})
 	tr.Emit(Event{Kind: KindIteration, Engine: "relax", Iter: 2, Delta: 0.01, Updated: 4, Active: 1})
 	tr.Emit(Event{Kind: KindRunEnd, Engine: "relax", Iter: 2, Delta: 0.01, Converged: false})
-	tr.SetQuery("relax", "vanilla", true, false)
+	tr.SetQuery("relax", "vanilla", true)
 	tr.Finish()
 
 	recs := tc.Flight.Records()
@@ -76,7 +74,7 @@ func TestTraceCapturesSpanTree(t *testing.T) {
 		t.Fatalf("captured %d records, want 1", len(recs))
 	}
 	rec := recs[0]
-	if rec.Engine != "relax" || !rec.Warm || rec.Batched {
+	if rec.Engine != "relax" || !rec.Warm {
 		t.Errorf("labels: %+v", rec)
 	}
 	wantReasons := map[string]bool{"slow": true, "non_converged": true}
@@ -190,7 +188,7 @@ func TestDisabledTraceAllocFree(t *testing.T) {
 		sp := tr.Span("admit")
 		sp.Child("inner").End()
 		sp.End()
-		tr.SetQuery("relax", "vanilla", false, false)
+		tr.SetQuery("relax", "vanilla", false)
 		tr.MarkIterCap()
 		tr.Emit(Event{Kind: KindIteration, Iter: 1, Delta: 0.5})
 		tr.Finish()
@@ -212,7 +210,7 @@ func TestEnabledTraceAllocBound(t *testing.T) {
 		run := tr.Span("run")
 		tr.Emit(Event{Kind: KindIteration, Iter: 1, Delta: 0.5})
 		run.End()
-		tr.SetQuery("relax", "vanilla", false, false)
+		tr.SetQuery("relax", "vanilla", false)
 		tr.Finish()
 	})
 	if allocs != 0 {

@@ -135,11 +135,6 @@ type Event struct {
 	// Variant is the message-update rule label of a serve.query event
 	// ("vanilla", "damped", "circular").
 	Variant string
-	// Batched marks a serve.query that ran through the cross-query
-	// batcher (one lane of a flush) rather than the solo path.
-	Batched bool
-	// Flush is the trigger of a serve.batch flush event.
-	Flush FlushReason
 	// RetryAfterSec is the Retry-After hint (seconds, as sent on the
 	// wire) of a serve.shed event.
 	RetryAfterSec int64
@@ -179,41 +174,6 @@ func (e Event) ConvergedFraction() float64 {
 		return 0
 	}
 	return f
-}
-
-// FlushReason discriminates what triggered a cross-query batch flush —
-// the label the adaptive-batch-window tuning reads: a K-full flush
-// means the window could shrink, a deadline flush at low occupancy
-// means arrivals are too sparse for the current K.
-type FlushReason uint8
-
-const (
-	// FlushNone is the zero value (no reason recorded).
-	FlushNone FlushReason = iota
-	// FlushFull: the Kth query arrived and filled every lane.
-	FlushFull
-	// FlushDeadline: the accumulation window expired on a partial batch.
-	FlushDeadline
-	// FlushShutdown: the server drained its batchers while shutting down.
-	FlushShutdown
-	// FlushDirect: a direct QueryBatched call bypassed accumulation
-	// (tests and the credobench serve experiment).
-	FlushDirect
-)
-
-// String returns the Prometheus/JSONL label of the reason.
-func (f FlushReason) String() string {
-	switch f {
-	case FlushFull:
-		return "full"
-	case FlushDeadline:
-		return "deadline"
-	case FlushShutdown:
-		return "shutdown"
-	case FlushDirect:
-		return "direct"
-	}
-	return "none"
 }
 
 // Probe receives engine events at iteration/batch boundaries. Emit may

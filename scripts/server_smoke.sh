@@ -53,11 +53,13 @@ curl -fsS "http://$ADDR/healthz" >/dev/null
 curl -fsS "http://$ADDR/v1/graphs" \
   | jq -e '.[0].name == "sprinkler" and .[0].nodes == 4 and .[0].warm == false' >/dev/null
 
-# Cold query: converged, not warm, posterior is a 2-state distribution.
+# Cold query: converged, not warm, answered by a solo engine (the
+# daemon does not batch), posterior is a 2-state distribution.
 curl -fsS -X POST "http://$ADDR/v1/query" \
   -H 'Content-Type: application/json' \
   -d '{"evidence":[{"node":"wetgrass","state":1}],"nodes":["rain"]}' \
   | jq -e '.converged == true and .warm == false
+      and (.engine | length) > 0 and .engine != "batch"
       and (.beliefs.rain | length) == 2
       and ((.beliefs.rain | add) > 0.999) and ((.beliefs.rain | add) < 1.001)' >/dev/null
 echo "cold query OK"
@@ -111,29 +113,25 @@ curl -s -X POST "http://$ADDR/v1/update" \
 echo "update round-trip OK"
 
 # Ops sidecar: the serve counters reflect the three successful queries
-# (two of them warm) and the one applied delta batch. The cold
-# auto-engine query ran through the cross-query batcher (on by
-# default), so exactly one flush executed at occupancy 1; the explicit
-# engine=residual queries took the solo path.
+# (two of them warm) and the one applied delta batch. Every query took
+# the solo path, so no batched flush executed.
 METRICS=$(curl -fsS "http://$OPS/metrics")
 echo "$METRICS" | grep -q '^credo_serve_queries_total 3$'
 echo "$METRICS" | grep -q '^credo_serve_warm_total 2$'
 echo "$METRICS" | grep -q '^credo_serve_loads_total 1$'
 echo "$METRICS" | grep -q '^credo_serve_updates_total 1$'
 echo "$METRICS" | grep -q '^credo_serve_mutations_total 1$'
-echo "$METRICS" | grep -q '^credo_serve_batch_flushes{reason="deadline"} 1$'
-echo "$METRICS" | grep -q '^credo_serve_batch_occupancy 1$'
+echo "$METRICS" | grep -q '^credo_serve_batch_flushes 0$'
 echo "ops sidecar OK"
 
 # Latency histograms: all three queries land in the labelled log
-# buckets (one batched cold, two solo warm — the per-family counts sum
-# to 3), the quantile gauges render, and the span stages fed their
-# histograms.
+# buckets (one cold, two warm — the per-family counts sum to 3), the
+# quantile gauges render, and the span stages fed their histograms.
+# The count is the last field: engine labels may hold a space ("C Edge").
 echo "$METRICS" | grep -q '^credo_serve_latency_seconds_bucket{'
-[ "$(echo "$METRICS" | awk -F' ' '/^credo_serve_latency_seconds_count\{/ {sum += $2} END {print sum+0}')" = 3 ]
+[ "$(echo "$METRICS" | awk '/^credo_serve_latency_seconds_count\{/ {sum += $NF} END {print sum+0}')" = 3 ]
 echo "$METRICS" | grep -q 'credo_serve_latency_quantile_seconds{.*q="0.99"}'
 echo "$METRICS" | grep -q '^credo_serve_stage_seconds_bucket{stage="decode"'
-echo "$METRICS" | grep -q '^credo_serve_batch_deadline_occupancy_bucket'
 curl -fsS "http://$OPS/debug/vars" \
   | jq -e '.["credo.telemetry"]
       | .serve_latency_count == 3
@@ -165,8 +163,8 @@ trap - EXIT
 
 # The trace is valid JSONL and frames the session: the startup load,
 # the three queries (two warm, all labelled with their impl), the
-# delta batch, the batcher's single deadline flush, and the flight
-# records interleaved as kind=flight lines.
+# delta batch, no batched flush, and the flight records interleaved as
+# kind=flight lines.
 jq -es 'length > 0
     and any(.[]; .engine == "serve.load")
     and ([.[] | select(.engine == "serve.query")] | length) == 3
@@ -174,8 +172,7 @@ jq -es 'length > 0
     and all(.[] | select(.engine == "serve.query"); .impl | length > 0)
     and ([.[] | select(.engine == "serve.update")] | length) == 1
     and all(.[] | select(.engine == "serve.update"); .warm == true and .converged == true)
-    and ([.[] | select(.engine == "serve.batch")] | length) == 1
-    and all(.[] | select(.engine == "serve.batch"); .flush == "deadline")
+    and ([.[] | select(.engine == "serve.batch")] | length) == 0
     and ([.[] | select(.kind == "flight")] | length) == 4
     and all(.[] | select(.kind == "flight"); .spans | length > 0)' "$TRACE" >/dev/null
 echo "telemetry trace OK"
