@@ -59,9 +59,11 @@ cover:
 
 # The CI race job: the concurrent engines, the kernel layer, the
 # telemetry sinks, the parallel ingest path and the serving layer,
-# twice, under the race detector.
+# twice, under the race detector; then the serving tests that race
+# queries, batched flushes and updates on one resident, twenty times.
 race:
 	$(GO) test -race -count=2 -timeout 30m ./internal/poolbp/ ./internal/ompbp/ ./internal/cudabp/ ./internal/bp/ ./internal/relaxbp/ ./internal/enginetest/ ./internal/kernel/ ./internal/telemetry/ ./internal/mtxbp/ ./internal/graph/ ./internal/serve/
+	$(GO) test -race -count=20 -run 'Concurrent|Overlap|Update' ./internal/serve
 
 # The CI fuzz-smoke job: 20s on each parser fuzz target. The ingest
 # differential runs as its own invocation — -fuzz takes one target, and

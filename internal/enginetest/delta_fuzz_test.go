@@ -15,7 +15,9 @@ import (
 // re-convergences. The differential oracle is a checkpoint chain: at
 // every re-convergence point the mutation prefix is rebuilt from
 // scratch through Builder/Observe only, warmed with the previous
-// checkpoint's oracle fixpoint, and fully re-run with every node
+// checkpoint's oracle fixpoint (except that a node retracted since
+// then starts from the prior it held at its retraction, as
+// RetractEvidence restarts it), and fully re-run with every node
 // seeded. A defect in the overlay merge, the frontier computation or
 // the retraction bookkeeping diverges the beliefs at some checkpoint.
 // An end-only cold oracle would be wrong here — the fuzzer freely
@@ -50,6 +52,7 @@ func FuzzDeltaApply(f *testing.F) {
 			t.Fatalf("cold run did not converge")
 		}
 		base := append([]float32(nil), g.Beliefs...)
+		priors := append([]float32(nil), g.Priors...)
 		n := int32(g.NumNodes)
 
 		next := func(i *int) (byte, bool) {
@@ -62,6 +65,7 @@ func FuzzDeltaApply(f *testing.F) {
 		}
 
 		var applied []gen.Mutation
+		checkpoint := 0 // len(applied) at the last oracle checkpoint
 		competent := true
 		reconverge := func() {
 			seeds := g.TakeDeltaSeeds()
@@ -85,14 +89,24 @@ func FuzzDeltaApply(f *testing.F) {
 			// checkpoint's oracle fixpoint, full rerun, compare. Clamped nodes
 			// keep their evidence indicators; input-free nodes keep their
 			// build-time beliefs (= final prior, which is what the delta layer
-			// leaves on them — the engine never touches either kind).
+			// leaves on them — the engine never touches either kind). A node
+			// retracted since the previous checkpoint starts where
+			// RetractEvidence restarts it: from its prior at the retraction,
+			// replayed here from the mutation list. Its previous-checkpoint
+			// belief is a clamp indicator, and a bistable node warmed from
+			// that settles in the other basin.
 			oracle, err := RebuildMutated(build, applied)
 			if err != nil {
 				t.Fatalf("rebuild after %d mutations: %v", len(applied), err)
 			}
+			starts := retractionPriors(priors, g.States, applied, checkpoint)
 			for v := int32(0); v < int32(oracle.NumNodes); v++ {
 				if !oracle.Observed[v] && oracle.InDegree(v) > 0 {
-					copy(oracle.Belief(v), base[int(v)*g.States:(int(v)+1)*g.States])
+					start, ok := starts[v]
+					if !ok {
+						start = base[int(v)*g.States : (int(v)+1)*g.States]
+					}
+					copy(oracle.Belief(v), start)
 				}
 			}
 			if ores := bp.RunResidual(oracle, o); !ores.Converged {
@@ -103,6 +117,7 @@ func FuzzDeltaApply(f *testing.F) {
 				t.Fatalf("delta fixpoint diverges from the rebuilt warm-rerun oracle by %g after %d mutations", d, len(applied))
 			}
 			base = append(base[:0], oracle.Beliefs...)
+			checkpoint = len(applied)
 		}
 
 		i := 0
@@ -167,4 +182,24 @@ func FuzzDeltaApply(f *testing.F) {
 			t.Fatalf("mutated graph invalid after %d mutations: %v", len(applied), err)
 		}
 	})
+}
+
+// retractionPriors returns, for every node retracted among muts[from:],
+// the prior it held at its last such retraction: the build-time priors
+// replayed through the prior drifts of muts, normalized as UpdatePrior
+// normalizes them.
+func retractionPriors(priors []float32, states int, muts []gen.Mutation, from int) map[int32][]float32 {
+	prior := append([]float32(nil), priors...)
+	starts := make(map[int32][]float32)
+	for i, m := range muts {
+		p := prior[int(m.Node)*states : (int(m.Node)+1)*states]
+		switch {
+		case m.Kind == gen.MutPrior:
+			copy(p, m.Prior)
+			graph.Normalize(p)
+		case m.Kind == gen.MutRetract && i >= from:
+			starts[m.Node] = append([]float32(nil), p...)
+		}
+	}
+	return starts
 }

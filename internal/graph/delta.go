@@ -30,9 +30,11 @@ import (
 //
 //   - Every mutation bumps a monotonic generation counter
 //     (Generation), and structural mutations additionally bump
-//     StructuralGeneration. Caches keyed on a fixpoint of the graph —
-//     the serving layer's warm-start snapshots — store the generation
-//     they were computed at and treat any mismatch as stale.
+//     StructuralGeneration. A fixpoint computed on a copy of the graph
+//     describes the graph only while the generation it was copied at
+//     still holds: the serving layer publishes a query's warm-start
+//     snapshot only if the base's generation is unchanged since the
+//     query leased its state.
 //
 //   - Mutations accumulate a changed-node set. TakeDeltaSeeds drains
 //     it as a delta-BP seed frontier — the changed nodes plus their
@@ -115,8 +117,9 @@ func (g *Graph) delta() *graphDelta {
 func (g *Graph) Generation() uint64 { return g.gen }
 
 // StructuralGeneration returns the structural mutation generation: it
-// increases only when the edge set changes (AddEdgeDelta). Structure
-// caches (partitions, batch states sized by edges) key on this.
+// increases only when the edge set changes (AddEdgeDelta), so a caller
+// comparing it across a mutation batch tells a structural delta from a
+// numeric one.
 func (g *Graph) StructuralGeneration() uint64 { return g.structGen }
 
 // PendingDeltaEdges reports how many accepted structural deltas await a

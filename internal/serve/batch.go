@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"credo/internal/core"
@@ -32,135 +31,66 @@ const (
 	warmDeltaMinNodes = 8
 )
 
-// batcher runs same-graph queries as one K-way SoA batch for
-// QueryBatched. One batcher exists per resident, holding the pool of
-// SoA states its flushes stage into.
-type batcher struct {
-	s *Server
-	r *Resident
-
-	// pool recycles the SoA overlay between flushes — the batch analogue
-	// of the resident's solo lease pool.
-	pool sync.Pool
-
-	// structGen is the base's structural generation the batcher's SoA
-	// pool was built against; batcherFor retires the batcher when the
-	// base has since grown edges.
-	structGen uint64
-}
-
-func newBatcher(s *Server, r *Resident) *batcher {
-	b := &batcher{s: s, r: r, structGen: r.structuralGeneration()}
-	b.pool.New = func() any {
-		bs, err := graph.NewBatchState(r.base, DefaultBatchK)
-		if err != nil {
-			// Unreachable: DefaultBatchK is a valid lane count.
-			panic(err)
-		}
-		return bs
-	}
-	return b
-}
-
-// batcherFor returns the resident's batcher, creating it on first use.
-// A resident replaced by a reload — or grown by a structural delta,
-// which reshapes the SoA states the batcher pools — gets a fresh
-// batcher; in-flight flushes against the old resident drain
-// independently (retired BatchStates keep referencing the pre-merge
-// adjacency arrays, which MergeDelta never patches in place).
-func (s *Server) batcherFor(r *Resident) *batcher {
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
-	b := s.batchers[r.Name]
-	if b == nil || b.r != r || b.structGen != r.structuralGeneration() {
-		b = newBatcher(s, r)
-		s.batchers[r.Name] = b
-	}
-	return b
-}
-
 // QueryBatched runs up to DefaultBatchK decoded queries as one SoA batch
 // flush against the resident — the entry point for tests, servebench and
 // the credobench serve experiment; the HTTP plane serves every query
 // solo. It bypasses admission control (callers own their concurrency):
-// warm staging, one batched run, one snapshot store, per-lane responses
-// labelled "batch".
+// warm staging into a pooled BatchState, one batched node-paradigm run
+// over the base's structure, one snapshot publication, per-lane
+// responses labelled "batch".
 func (s *Server) QueryBatched(r *Resident, rqs []*ResolvedQuery) ([]*Response, error) {
-	return s.batcherFor(r).runFlush(rqs)
-}
-
-// runFlush stages the queries into a pooled BatchState, runs the batched
-// node-paradigm engine over the resident's base structure, snapshots a
-// converged lane for future warm starts and marshals per-lane responses.
-func (b *batcher) runFlush(rqs []*ResolvedQuery) ([]*Response, error) {
 	if len(rqs) == 0 || len(rqs) > DefaultBatchK {
 		return nil, fmt.Errorf("serve: batch of %d queries, want 1..%d", len(rqs), DefaultBatchK)
 	}
 	start := time.Now()
 
-	bs := b.pool.Get().(*graph.BatchState)
-	defer b.pool.Put(bs)
+	opts := s.cfg.Options
+	opts.Probe = s.cfg.Probe
+	eng := core.Engine{Selector: s.cfg.Selector, Options: opts}
+	if eng.PoolWorkers <= 0 {
+		eng.PoolWorkers = s.cfg.Workers
+	}
 
 	// The batched engine reads the base's numeric and adjacency arrays
-	// directly (no overlay clone), so the whole flush holds the base read
-	// lock: /v1/update mutations serialize before or after it. The warm
-	// pointer is read directly rather than through snapshot() — its
-	// generation check re-acquires baseMu, and a nested RLock behind a
-	// waiting writer deadlocks.
-	b.r.baseMu.RLock()
-	defer b.r.baseMu.RUnlock()
-	gen := b.r.base.Generation()
-	bs.Reset(b.r.base)
+	// directly (no overlay clone), so the run holds the read lock:
+	// /v1/update mutations serialize before or after it.
+	r.mu.RLock()
+	bs := r.batch.Get().(*graph.BatchState)
+	defer r.batch.Put(bs)
+	gen := r.base.Generation()
+	bs.Reset(r.base)
 	bs.Used = len(rqs)
-
-	b.r.warmMu.Lock()
-	snap := b.r.warm
-	b.r.warmMu.Unlock()
-	if snap != nil && snap.gen != gen {
-		snap = nil
-	}
 	laneWarm := make([]bool, len(rqs))
 	warm := false
 	for l, rq := range rqs {
-		w, err := b.stageLane(bs, l, rq, snap)
+		w, err := stageLane(bs, l, rq, r.warm)
 		if err != nil {
+			r.mu.RUnlock()
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		laneWarm[l] = w
 		warm = warm || w
 	}
-
-	opts := b.s.cfg.Options
-	opts.Probe = b.s.cfg.Probe
-	eng := core.Engine{Selector: b.s.cfg.Selector, Options: opts}
-	if eng.PoolWorkers <= 0 {
-		eng.PoolWorkers = b.s.cfg.Workers
-	}
-	rep := eng.RunBatch(b.r.base, bs)
+	rep := eng.RunBatch(r.base, bs)
+	r.mu.RUnlock()
 	wall := time.Since(start)
 
 	// Publish one converged lane as the warm snapshot; the last staged
 	// lane wins so back-to-back flushes behave like sequential queries.
 	for l := len(rqs) - 1; l >= 0; l-- {
-		if !rep.Result.Lanes[l].Converged {
-			continue
+		if rep.Result.Lanes[l].Converged {
+			flat := make([]float32, bs.NumNodes*bs.States)
+			bs.ExtractLane(l, flat)
+			r.publish(flat, rqs[l].evidence, gen)
+			break
 		}
-		flat := make([]float32, len(b.r.base.Beliefs))
-		bs.ExtractLane(l, flat)
-		b.r.storeSnapshotBeliefs(flat, rqs[l].evidence, gen)
-		if laneWarm[l] {
-			b.r.warmMu.Lock()
-			b.r.warmed++
-			b.r.warmMu.Unlock()
-		}
-		break
 	}
 
 	out := make([]*Response, len(rqs))
 	for l, rq := range rqs {
 		lr := rep.Result.Lanes[l]
 		out[l] = &Response{
-			Graph:      b.r.Name,
+			Graph:      r.Name,
 			Engine:     EngineBatch,
 			Warm:       laneWarm[l],
 			Converged:  lr.Converged,
@@ -169,10 +99,10 @@ func (b *batcher) runFlush(rqs []*ResolvedQuery) ([]*Response, error) {
 			Edges:      lr.Edges,
 			FinalDelta: float64(lr.FinalDelta),
 			WallNs:     wall.Nanoseconds(),
-			Beliefs:    marshalLaneBeliefs(b.r, bs, l, rq.nodes),
+			Beliefs:    marshalLaneBeliefs(r, bs, l, rq.nodes),
 		}
 	}
-	b.s.emit(telemetry.Event{
+	s.emit(telemetry.Event{
 		Kind:      telemetry.KindServe,
 		Engine:    "serve.batch",
 		Worker:    -1,
@@ -192,7 +122,7 @@ func (b *batcher) runFlush(rqs []*ResolvedQuery) ([]*Response, error) {
 // their prior — the same staging the solo warm path applies to its
 // overlay, done per lane on the SoA state. Lanes with no snapshot or too
 // large a delta stage cold (priors plus evidence, the Reset state).
-func (b *batcher) stageLane(bs *graph.BatchState, l int, rq *ResolvedQuery, snap *warmState) (bool, error) {
+func stageLane(bs *graph.BatchState, l int, rq *ResolvedQuery, snap *warmState) (bool, error) {
 	warm := false
 	if snap != nil {
 		changed := 0

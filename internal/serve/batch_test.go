@@ -130,17 +130,31 @@ func TestQueryBatchedValidation(t *testing.T) {
 	}
 }
 
-// TestBatcherReplacedOnReload pins the registry interaction: reloading a
-// graph under the same name rebinds the batcher to the new resident.
-func TestBatcherReplacedOnReload(t *testing.T) {
+// TestQueryBatchedAfterEdgeAdd: pooled batch states are node-shaped and
+// the batched engine reads edges from the base, so a flush after an edge
+// add — on a state pooled before it — must answer for the merged graph.
+func TestQueryBatchedAfterEdgeAdd(t *testing.T) {
 	s, r := newGridServer(t, Config{})
-	b1 := s.batcherFor(r)
-	r2, err := s.Load("grid", testGrid(t))
+	doc := `{"evidence":[{"node":"17","state":1}]}`
+	if _, err := s.QueryBatched(r, []*ResolvedQuery{decode(t, r, doc)}); err != nil {
+		t.Fatal(err)
+	}
+	ru, err := r.DecodeUpdate([]byte(`{"updates":[{"op":"edge","src":"3","dst":"250"},{"op":"edge","src":"250","dst":"3"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2 := s.batcherFor(r2)
-	if b1 == b2 {
-		t.Error("batcher survived a reload — flushes would run against the dropped resident")
+	if _, err := s.UpdateResident(r, ru); err != nil {
+		t.Fatal(err)
+	}
+	out, err := s.QueryBatched(r, []*ResolvedQuery{decode(t, r, doc)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0].Warm || !out[0].Converged {
+		t.Fatalf("flush after an edge add: warm=%v converged=%v, want cold converged", out[0].Warm, out[0].Converged)
+	}
+	oracle := coldOracle(t, r, map[int32]int{17: 1})
+	if gap := worstGap(t, r, out[0], oracle); gap > float64(WarmTol) {
+		t.Errorf("flush after an edge add off by %g from the merged graph's oracle (want <= %g)", gap, float64(WarmTol))
 	}
 }

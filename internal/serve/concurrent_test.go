@@ -115,8 +115,8 @@ func compareToOracle(resp *Response, oracle *graph.Graph, r *Resident) error {
 // never alias, and the resident base never sees a clamp.
 func TestConcurrentLeasesAreIsolated(t *testing.T) {
 	_, r := newGridServer(t, Config{})
-	a, _ := r.lease()
-	b, _ := r.lease()
+	a, _, _ := r.lease()
+	b, _, _ := r.lease()
 	if a == b {
 		t.Fatal("two live leases alias the same overlay")
 	}
@@ -130,10 +130,106 @@ func TestConcurrentLeasesAreIsolated(t *testing.T) {
 		t.Fatal("clamping one lease leaked into the base or a sibling lease")
 	}
 	r.release(a)
-	c, _ := r.lease() // may reuse a's arrays — must come back pristine
+	c, _, _ := r.lease() // may reuse a's arrays — must come back pristine
 	if c.Observed[0] {
 		t.Fatal("recycled lease kept the previous query's evidence")
 	}
 	r.release(b)
 	r.release(c)
+}
+
+// TestConcurrentUpdatesQueriesAndBatches drives every entry point that
+// takes the resident's lock at once — solo queries, batched flushes,
+// registry reads and a stream of numeric updates — and then checks the
+// one invariant they share: the snapshot left behind is a fixpoint of
+// the final base, so a same-evidence query served from it matches a
+// cold run of that base. Run under -race in CI.
+func TestConcurrentUpdatesQueriesAndBatches(t *testing.T) {
+	s, r := newGridServer(t, Config{Workers: 2, MaxInFlight: 8})
+	docs := []string{
+		`{"evidence":[{"node":"136","state":1}]}`,
+		`{"evidence":[{"node":"40","state":0}]}`,
+		`{}`,
+	}
+	const rounds = 8
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*rounds)
+	wg.Add(4)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			p := 0.1 + 0.1*float64(i)
+			ru, err := r.DecodeUpdate([]byte(fmt.Sprintf(`{"updates":[{"op":"prior","node":"%d","prior":[%g,%g]}]}`, 30+i*20, p, 1-p)))
+			if err == nil {
+				_, err = s.UpdateResident(r, ru)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	for w := 0; w < 2; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				rq, err := r.DecodeQuery([]byte(docs[(w+i)%len(docs)]))
+				if err != nil {
+					errs <- err
+					return
+				}
+				var resp *Response
+				if w == 0 {
+					resp, err = s.QueryResident(r, EngineAuto, rq)
+				} else {
+					var out []*Response
+					if out, err = s.QueryBatched(r, []*ResolvedQuery{rq}); err == nil {
+						resp = out[0]
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !resp.Converged {
+					errs <- fmt.Errorf("worker %d round %d: not converged (delta %g)", w, i, resp.FinalDelta)
+					return
+				}
+			}
+		}(w)
+	}
+	go func() {
+		defer wg.Done()
+		var last uint64
+		for i := 0; i < rounds; i++ {
+			info := s.info(r)
+			if info.Generation < last {
+				errs <- fmt.Errorf("registry generation went back from %d to %d", last, info.Generation)
+				return
+			}
+			last = info.Generation
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+
+	for i, doc := range docs {
+		resp, err := s.QueryResident(r, EngineResidual, decode(t, r, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && !resp.Warm {
+			t.Errorf("%s: a converged query left no snapshot behind", doc)
+		}
+		ev := map[int32]int{}
+		for _, p := range decode(t, r, doc).evidence {
+			ev[p.node] = int(p.state)
+		}
+		if gap := worstGap(t, r, resp, coldOracle(t, r, ev)); gap > float64(WarmTol) {
+			t.Errorf("%s: final answer off by %g from the final base's oracle (want <= %g)", doc, gap, float64(WarmTol))
+		}
+	}
 }

@@ -54,16 +54,19 @@ type graphInfo struct {
 	Metadata   graph.Metadata `json:"metadata"`
 }
 
+// info reads the entry under one read lock, so an update cannot land
+// between its fields.
 func (s *Server) info(r *Resident) graphInfo {
-	md := r.Metadata()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return graphInfo{
 		Name:       r.Name,
-		Nodes:      md.NumNodes,
-		Edges:      md.NumEdges,
-		States:     md.States,
-		Warm:       r.HasWarm(),
-		Generation: r.Generation(),
-		Metadata:   md,
+		Nodes:      r.md.NumNodes,
+		Edges:      r.md.NumEdges,
+		States:     r.md.States,
+		Warm:       r.warm != nil,
+		Generation: r.base.Generation(),
+		Metadata:   r.md,
 	}
 }
 

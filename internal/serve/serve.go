@@ -5,12 +5,12 @@
 //
 // Three pieces make concurrent serving cheap and safe:
 //
-//   - Evidence overlays. The resident graph is pristine and read-only;
-//     each query leases a structural clone from a per-graph pool (shared
-//     adjacency and joint matrices, private numeric arrays), re-bases it
-//     with graph.CopyStateFrom, clamps its own evidence and runs
-//     propagation there. Concurrent queries never share kernel arenas or
-//     observe each other's clamps.
+//   - Evidence overlays. No query writes the resident graph (only
+//     /v1/update does); each query leases a structural clone from a
+//     per-graph pool (shared adjacency and joint matrices, private
+//     numeric arrays), re-bases it with graph.CopyStateFrom, clamps its
+//     own evidence and runs propagation there. Concurrent queries never
+//     share kernel arenas or observe each other's clamps.
 //
 //   - Warm starts. After any converged query the resident snapshots the
 //     fixpoint beliefs together with the evidence they were converged
@@ -89,7 +89,9 @@ type Config struct {
 	RetryAfter time.Duration
 
 	// Probe receives both the engines' run telemetry and the serving
-	// layer's KindServe events. Nil disables instrumentation.
+	// layer's KindServe events. Nil disables instrumentation. Update and
+	// batched runs emit while holding the resident's lock, so Emit must
+	// not call back into the server on its own goroutine.
 	Probe telemetry.Probe
 
 	// Tracer, when non-nil, samples requests into request-scoped traces:
@@ -128,9 +130,6 @@ type Server struct {
 
 	mu     sync.RWMutex
 	graphs map[string]*Resident
-
-	batchMu  sync.Mutex
-	batchers map[string]*batcher
 }
 
 // New returns an empty serving instance.
@@ -147,11 +146,10 @@ func New(cfg Config) *Server {
 		cfg.RetryAfter = time.Second
 	}
 	return &Server{
-		cfg:      cfg,
-		adm:      newAdmission(inflight, maxQueue),
-		variant:  cfg.Options.ResolveVariant().Variant.String(),
-		graphs:   make(map[string]*Resident),
-		batchers: make(map[string]*batcher),
+		cfg:     cfg,
+		adm:     newAdmission(inflight, maxQueue),
+		variant: cfg.Options.ResolveVariant().Variant.String(),
+		graphs:  make(map[string]*Resident),
 	}
 }
 
@@ -173,11 +171,6 @@ func (s *Server) load(name string, g *graph.Graph, wall time.Duration) (*Residen
 	s.mu.Lock()
 	s.graphs[name] = r
 	s.mu.Unlock()
-	// Drop any batcher bound to a replaced resident; batcherFor rebuilds
-	// one against the new graph on the next batched query.
-	s.batchMu.Lock()
-	delete(s.batchers, name)
-	s.batchMu.Unlock()
 	if s.cfg.Probe != nil {
 		s.cfg.Probe.Emit(telemetry.Event{
 			Kind:   telemetry.KindServe,
@@ -264,35 +257,31 @@ func (s *Server) only() (*Resident, bool) {
 	return nil, false
 }
 
-// Resident is one graph loaded for serving: the pristine base (read-only
-// after registration), a lease pool of structural clones for query
-// overlays, and the warm-start snapshot.
+// Resident is one graph loaded for serving: the base graph, the lease
+// pools of query overlays and batch states, and the warm-start snapshot.
+//
+// One invariant holds by construction: the snapshot, when set, is a
+// fixpoint of the base as it stands. mu guards the base, the snapshot
+// and the cached statistics together. /v1/update holds it for writing
+// from its first mutation until it has published the re-converged
+// snapshot (or dropped it), and a query publishes under it only if the
+// base is still at the generation the query leased. Queries hold mu only
+// while they copy state in and while they swap the snapshot pointer,
+// never across an engine run; a batched run holds it for reading, since
+// the batched engine reads the base's arrays directly.
 type Resident struct {
-	Name string
+	Name  string
+	names map[string]int32
 
-	// baseMu orders base mutations (the /v1/update delta path) against
-	// readers. Queries hold it only while copying state out of the base —
-	// their runs happen on private overlay clones — while batch flushes
-	// hold it for the whole run, since the batched engine reads the base's
-	// adjacency arrays directly.
-	baseMu sync.RWMutex
-	base   *graph.Graph
-	names  map[string]int32
-
-	// mdMu guards the cached structural statistics, which go stale when
-	// a structural delta reshapes the base and are refreshed by the
-	// update path. A lock of its own (never held together with baseMu)
-	// so readers on the query path cannot nest read locks against a
-	// waiting base writer.
-	mdMu      sync.RWMutex
+	mu        sync.RWMutex
+	base      *graph.Graph
+	warm      *warmState
 	md        graph.Metadata
 	footprint int64
 
-	pool sync.Pool
-
-	warmMu sync.Mutex
-	warm   *warmState
-	warmed int64 // queries served warm (diagnostics)
+	// Both pools' New funcs read the base, so Get only with mu held.
+	pool  sync.Pool // *graph.Graph overlays for solo queries and updates
+	batch sync.Pool // *graph.BatchState lanes for QueryBatched
 }
 
 // NewResident wraps a built graph for serving without registering it in
@@ -312,6 +301,16 @@ func NewResident(name string, g *graph.Graph) *Resident {
 		}
 	}
 	r.pool.New = func() any { return g.Clone() }
+	r.batch.New = func() any {
+		// A BatchState is node-shaped and the batched engine reads edges
+		// from the base, so an edge add leaves pooled states valid.
+		bs, err := graph.NewBatchState(g, DefaultBatchK)
+		if err != nil {
+			// Unreachable: DefaultBatchK is a valid lane count.
+			panic(err)
+		}
+		return bs
+	}
 	return r
 }
 
@@ -319,70 +318,52 @@ func NewResident(name string, g *graph.Graph) *Resident {
 // after every structural delta, so edge counts and degree moments track
 // the merged graph, not the one loaded at registration.
 func (r *Resident) Metadata() graph.Metadata {
-	r.mdMu.RLock()
-	defer r.mdMu.RUnlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return r.md
 }
 
-// stats returns the metadata/footprint pair the engine selector reads.
-func (r *Resident) stats() (graph.Metadata, int64) {
-	r.mdMu.RLock()
-	defer r.mdMu.RUnlock()
-	return r.md, r.footprint
+// HasWarm reports whether a warm-start snapshot is available.
+func (r *Resident) HasWarm() bool {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.warm != nil
 }
 
-// refreshStats publishes recomputed statistics. The caller computes
-// them (g.Stats walks the adjacency arrays) while it still holds baseMu,
-// so the walk cannot race a concurrent merge reassigning the index.
-func (r *Resident) refreshStats(md graph.Metadata, footprint int64) {
-	r.mdMu.Lock()
-	r.md = md
-	r.footprint = footprint
-	r.mdMu.Unlock()
-}
-
-// HasWarm reports whether a live warm-start snapshot is available — one
-// taken at the base's current mutation generation. A snapshot stranded
-// behind a base mutation counts as absent.
-func (r *Resident) HasWarm() bool { return r.snapshot() != nil }
-
-// Generation returns the base graph's mutation generation — the value
-// warm snapshots are keyed by.
+// Generation returns the base graph's mutation generation.
 func (r *Resident) Generation() uint64 {
-	r.baseMu.RLock()
-	defer r.baseMu.RUnlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return r.base.Generation()
 }
 
-// structuralGeneration returns the base's structural (edge-add)
-// generation — the value the batcher's SoA pool is keyed by.
-func (r *Resident) structuralGeneration() uint64 {
-	r.baseMu.RLock()
-	defer r.baseMu.RUnlock()
-	return r.base.StructuralGeneration()
+// lease borrows an overlay holding the base's numeric state, and returns
+// it with the warm snapshot and the base generation, all read under one
+// read lock: the snapshot is a fixpoint of exactly the state copied, and
+// the generation is the one a fixpoint converged on the overlay must be
+// published under.
+func (r *Resident) lease() (*graph.Graph, *warmState, uint64) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.leaseLocked(), r.warm, r.base.Generation()
 }
 
-// lease borrows an overlay clone with the base's pristine numeric state,
-// returning it together with the base generation that state was copied
-// at — the key any fixpoint converged on the clone must be published
-// under. A clone whose shape no longer matches (the base grew edges via
-// a structural delta since the clone was pooled) is dropped for a fresh
-// structural clone of the current base.
-func (r *Resident) lease() (*graph.Graph, uint64) {
-	r.baseMu.RLock()
-	defer r.baseMu.RUnlock()
+// leaseLocked is lease's copy; the caller holds mu. A pooled clone whose
+// shape no longer matches (the base grew edges since it was pooled) is
+// dropped for a fresh clone of the current base.
+func (r *Resident) leaseLocked() *graph.Graph {
 	g := r.pool.Get().(*graph.Graph)
 	if err := g.CopyStateFrom(r.base); err != nil {
 		g = r.base.Clone()
 	}
-	return g, r.base.Generation()
+	return g
 }
 
 // release returns an overlay to the lease pool.
 func (r *Resident) release(g *graph.Graph) { r.pool.Put(g) }
 
 // nodeLabel names node v for response payloads: its name when it has
-// one, its decimal id otherwise.
+// one, its decimal id otherwise. Names never change after load.
 func (r *Resident) nodeLabel(v int32) string {
 	if int(v) < len(r.base.Names) && r.base.Names[v] != "" {
 		return r.base.Names[v]

@@ -20,8 +20,7 @@ import (
 // and re-converges the warm snapshot from the delta frontier, so the
 // next query warm-starts against the mutated world instead of paying a
 // cold run for it. Structural deltas (edge adds) reshape the graph;
-// they invalidate the warm snapshot and retire the resident's batcher,
-// and the next query re-converges cold.
+// they drop the warm snapshot, and the next query re-converges cold.
 
 // updatePayload is the POST /v1/update body: an ordered list of delta
 // operations applied atomically per operation (a rejected operation
@@ -161,27 +160,27 @@ func (r *Resident) DecodeUpdate(data []byte) (*ResolvedUpdate, error) {
 }
 
 // UpdateResident applies the decoded delta batch to the resident's base
-// graph and refreshes the warm snapshot:
+// graph and carries the warm snapshot forward. It holds the resident's
+// write lock for the whole call, so no query sees the mutated base
+// beside a snapshot that is not its fixpoint: a query arriving meanwhile
+// waits and then leases the outcome. There are four outcomes:
 //
-//   - Mutations land on the base under the write lock; every query
-//     leased after the unlock sees the mutated world, and the generation
-//     bump makes the pre-update warm snapshot unreachable (snapshot()
-//     keys on it), so no query can seed from the stale fixpoint.
-//   - With a warm snapshot keyed to the pre-update generation (any
-//     other generation means the fixpoint does not describe the base
-//     this batch mutated — a slow query's late publication, or a racing
-//     update) and a non-structural delta, the snapshot is re-converged
-//     in place: an overlay adopts the old fixpoint, the
-//     delta frontier (changed nodes plus out-neighbours, from
-//     TakeDeltaSeeds) seeds bp.RunResidualFrom, and the re-converged
-//     beliefs are published under the new generation. This is the whole
-//     point of the endpoint — the mutation pays the (frontier-sized)
-//     re-convergence once, instead of every subsequent query paying a
-//     cold run.
-//   - Structural deltas drop the snapshot and leave re-convergence to
-//     the next query's cold run: merged edges reshape the overlay pool
-//     and the batcher's SoA states, both of which re-key off the
-//     structural generation.
+//   - An operation was rejected after earlier ones moved the base: the
+//     snapshot is dropped.
+//   - Nothing moved a node (no delta seeds; a prior parked on a clamped
+//     node bumps the generation but changes no fixpoint): the snapshot
+//     is kept.
+//   - The delta was structural, there is no snapshot, or the frontier is
+//     so large that features.RecommendDelta says re-convergence would
+//     touch most of the graph anyway: the snapshot is dropped and the
+//     next query runs cold.
+//   - Otherwise the snapshot is re-converged on an overlay: mutated base
+//     state, the snapshot's still-valid query clamps, the old fixpoint
+//     beliefs, and the delta frontier (changed nodes plus out-neighbours,
+//     from TakeDeltaSeeds) as the seeds of bp.RunResidualFrom. The
+//     mutation pays the frontier-sized re-convergence once, instead of
+//     every later query paying a cold run; a run that does not converge
+//     drops the snapshot.
 //
 // An operation rejected by the delta layer aborts the remainder; the
 // error reports the position, and the returned response (non-nil even
@@ -190,8 +189,9 @@ func (r *Resident) DecodeUpdate(data []byte) (*ResolvedUpdate, error) {
 // can resync without parsing the position out of the error string.
 func (s *Server) UpdateResident(r *Resident, ru *ResolvedUpdate) (*UpdateResponse, error) {
 	start := time.Now()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 
-	r.baseMu.Lock()
 	genBefore := r.base.Generation()
 	structBefore := r.base.StructuralGeneration()
 	applied := 0
@@ -205,81 +205,39 @@ func (s *Server) UpdateResident(r *Resident, ru *ResolvedUpdate) (*UpdateRespons
 	}
 	seeds := r.base.TakeDeltaSeeds()
 	structural := r.base.StructuralGeneration() != structBefore
-	gen := r.base.Generation()
-	var newMD graph.Metadata
-	var newFootprint int64
 	if structural {
-		// TakeDeltaSeeds merged the overlay, so the cached statistics —
+		// TakeDeltaSeeds merged the new edges, so the cached statistics —
 		// the registry listing, the engine selector's inputs, the churn
 		// rule's node count — describe a graph that no longer exists.
-		// Recompute under the write lock (Stats walks the just-merged
-		// adjacency arrays) and publish after it drops.
-		newMD, newFootprint = r.base.Stats(), r.base.MemoryFootprint()
-	}
-	r.baseMu.Unlock()
-	if structural {
-		r.refreshStats(newMD, newFootprint)
+		r.md, r.footprint = r.base.Stats(), r.base.MemoryFootprint()
 	}
 	resp := &UpdateResponse{
 		Graph:      r.Name,
 		Applied:    applied,
-		Generation: gen,
+		Generation: r.base.Generation(),
 		Structural: structural,
 	}
-	if applyErr != nil {
+	defer func() { resp.WallNs = time.Since(start).Nanoseconds() }()
+	switch {
+	case applyErr != nil:
 		// The applied prefix is committed and its frontier is drained, so
-		// no snapshot at or below the new generation can be carried
-		// forward — drop the storage (the generation keys already make it
-		// unreachable) and report the prefix alongside the error.
-		if gen != genBefore {
-			r.invalidateWarmThrough(gen)
+		// the snapshot can no longer be carried forward.
+		if resp.Generation != genBefore {
+			r.warm = nil
 		}
-		resp.WallNs = time.Since(start).Nanoseconds()
 		return resp, applyErr
-	}
-
-	if len(seeds) == 0 {
-		// Nothing moved (every operation was a no-op rewrite); the old
-		// snapshot, if any, is still keyed to the current generation.
-		resp.Warm = r.HasWarm()
+	case len(seeds) == 0:
+		resp.Warm, resp.Converged = r.warm != nil, true
+		return resp, nil
+	case structural || r.warm == nil || !features.RecommendDelta(r.md, len(seeds)):
+		r.warm = nil
 		resp.Converged = true
-		resp.WallNs = time.Since(start).Nanoseconds()
 		return resp, nil
 	}
 
-	r.warmMu.Lock()
 	w := r.warm
-	r.warmMu.Unlock()
-	if w != nil && w.gen != genBefore {
-		// The stored fixpoint is not one of the base this batch mutated:
-		// either it predates an earlier update whose frontier is already
-		// drained (a slow query's late publication), or a racing later
-		// update republished after our generation. Re-converging from it
-		// would publish a non-fixpoint at the current generation — the
-		// same check snapshot() applies on the query path, against the
-		// pre-update generation here because our own mutations just
-		// bumped it.
-		w = nil
-	}
-	if structural || w == nil || !features.RecommendDelta(r.Metadata(), len(seeds)) {
-		// No fixpoint to carry forward (or one the reshaped graph cannot
-		// reuse lane-for-lane, or a frontier so large the churn-rate rule
-		// says re-convergence would touch most of the graph anyway): the
-		// stale snapshot is unreachable already — its generation differs
-		// from gen — so just drop the storage (without destroying a
-		// fresher snapshot a racing later update may have published) and
-		// let the next query run cold.
-		r.invalidateWarmThrough(gen)
-		resp.Converged = true
-		resp.WallNs = time.Since(start).Nanoseconds()
-		return resp, nil
-	}
-
-	// Re-converge the warm snapshot in place on an overlay: mutated base
-	// state, the snapshot's still-valid query clamps, the old fixpoint
-	// beliefs everywhere the engine will read them, and the delta
-	// frontier as seeds.
-	g, leaseGen := r.lease()
+	r.warm = nil // replaced below only by a fixpoint of the mutated base
+	g := r.leaseLocked()
 	defer r.release(g)
 	evidence := make([]evPair, 0, len(w.evidence))
 	for _, ev := range w.evidence {
@@ -291,8 +249,6 @@ func (s *Server) UpdateResident(r *Resident, ru *ResolvedUpdate) (*UpdateRespons
 		if err := g.Observe(ev.node, int(ev.state)); err != nil {
 			// The mutations are committed; only the re-convergence failed.
 			// Report the full prefix and leave the next query to run cold.
-			r.invalidateWarmThrough(gen)
-			resp.WallNs = time.Since(start).Nanoseconds()
 			return resp, fmt.Errorf("serve: re-clamp node %d: %w", ev.node, err)
 		}
 		evidence = append(evidence, ev)
@@ -311,15 +267,9 @@ func (s *Server) UpdateResident(r *Resident, ru *ResolvedUpdate) (*UpdateRespons
 	res := bp.RunResidualFrom(g, opts, seeds)
 	resp.Converged = res.Converged
 	resp.Updates = res.Ops.NodesProcessed
-	if res.Converged && leaseGen == gen {
-		r.storeSnapshotBeliefs(g.Beliefs, evidence, leaseGen)
+	if res.Converged {
+		r.warm = &warmState{beliefs: append([]float32(nil), g.Beliefs...), evidence: evidence}
 		resp.Warm = true
-	} else {
-		// Failed to re-converge (or raced yet another update): drop our
-		// stale snapshot rather than publishing a fixpoint that is not
-		// one, but keep anything fresher a racing update published.
-		r.invalidateWarmThrough(gen)
 	}
-	resp.WallNs = time.Since(start).Nanoseconds()
 	return resp, nil
 }

@@ -1,11 +1,16 @@
 package serve
 
 import (
+	"fmt"
 	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"credo/internal/bp"
 	"credo/internal/graph"
+	"credo/internal/telemetry"
 )
 
 // coldOracle converges a from-priors run of the resident's current base
@@ -44,13 +49,12 @@ func worstGap(t *testing.T, r *Resident, resp *Response, oracle *graph.Graph) fl
 	return worst
 }
 
-// TestWarmSnapshotStaleAfterBaseMutation is the staleness regression
-// test: once the base graph is mutated out-of-band (not through
-// UpdateResident, which republishes a re-converged snapshot), the old
-// fixpoint must be unreachable. Before generation keying, the second
-// query here — same evidence as the first, so an empty perturbation
-// frontier — would have adopted the stale snapshot, applied zero
-// updates and served the pre-mutation posteriors verbatim.
+// TestWarmSnapshotStaleAfterBaseMutation: an update whose frontier is
+// too large to re-converge (features.RecommendDelta vetoes it) drops the
+// snapshot with the base it described. The next query, with the same
+// evidence as the first and so an empty perturbation frontier, must run
+// cold against the mutated base rather than serve the pre-update
+// posteriors verbatim from a stale fixpoint.
 func TestWarmSnapshotStaleAfterBaseMutation(t *testing.T) {
 	s, r := newGridServer(t, Config{})
 	q := decode(t, r, `{"evidence":[{"node":"17","state":1}]}`)
@@ -63,10 +67,22 @@ func TestWarmSnapshotStaleAfterBaseMutation(t *testing.T) {
 	}
 	genBefore := r.Generation()
 
-	// Out-of-band base mutation: an operator (or a test) reaching past
-	// the update endpoint straight into the delta layer.
-	if err := r.base.UpdatePrior(40, []float32{0.95, 0.05}); err != nil {
+	// Drift every prior: a numeric delta whose frontier is the whole graph.
+	var ops []string
+	for v := 0; v < r.Metadata().NumNodes; v++ {
+		p := 0.2 + 0.6*float64(v%7)/6
+		ops = append(ops, fmt.Sprintf(`{"op":"prior","node":"%d","prior":[%g,%g]}`, v, p, 1-p))
+	}
+	ru, err := r.DecodeUpdate([]byte(`{"updates":[` + strings.Join(ops, ",") + `]}`))
+	if err != nil {
 		t.Fatal(err)
+	}
+	resp, err := s.UpdateResident(r, ru)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Structural || resp.Warm || resp.Updates != 0 {
+		t.Fatalf("vetoed update answered structural=%v warm=%v updates=%d, want a numeric drop", resp.Structural, resp.Warm, resp.Updates)
 	}
 	if r.Generation() == genBefore {
 		t.Fatal("mutation did not advance the generation")
@@ -89,9 +105,6 @@ func TestWarmSnapshotStaleAfterBaseMutation(t *testing.T) {
 	if gap := worstGap(t, r, second, oracle); gap > float64(WarmTol) {
 		t.Errorf("post-mutation beliefs off by %g (want <= %g) — stale state leaked into the answer", gap, float64(WarmTol))
 	}
-	// The mutation seeds stay drained into nothing: the next converged
-	// query re-arms the cache at the current generation.
-	r.base.TakeDeltaSeeds()
 	if !r.HasWarm() {
 		t.Fatal("converged post-mutation query did not re-arm the warm cache")
 	}
@@ -238,21 +251,19 @@ func TestUpdateRefreshesMetadata(t *testing.T) {
 // TestUpdateIgnoresStaleWarmSnapshot is the stale-adoption regression
 // test. The race: a query leased at generation G converges slowly; a
 // /v1/update meanwhile moves the base to G+1 and republishes a
-// re-converged fixpoint; the late query then stores its gen-G snapshot.
-// Two defences must both hold: the monotonic store refuses to clobber
-// the fresher fixpoint, and — even if a stale snapshot is the only one
-// in storage — the update path refuses to adopt a snapshot whose
-// generation is not the pre-update base's, because the earlier update's
-// frontier is already drained and re-converging from the stale fixpoint
-// would publish beliefs that never saw that update's changes.
+// re-converged fixpoint; the late query then publishes its gen-G
+// fixpoint. publish must refuse it, whether or not a fresher snapshot
+// is stored, because the update's frontier is already drained: a later
+// update re-converging from the stale fixpoint would publish beliefs
+// that never saw the first update's changes.
 func TestUpdateIgnoresStaleWarmSnapshot(t *testing.T) {
 	s, r := newGridServer(t, Config{})
 	if _, err := s.QueryResident(r, EngineResidual, decode(t, r, `{"evidence":[{"node":"17","state":1}]}`)); err != nil {
 		t.Fatal(err)
 	}
-	r.warmMu.Lock()
-	stale := r.warm
-	r.warmMu.Unlock()
+	r.mu.RLock()
+	stale, staleGen := r.warm, r.base.Generation()
+	r.mu.RUnlock()
 	if stale == nil {
 		t.Fatal("first query did not arm the warm cache")
 	}
@@ -270,20 +281,26 @@ func TestUpdateIgnoresStaleWarmSnapshot(t *testing.T) {
 	if !resp.Warm || !resp.Converged {
 		t.Fatalf("update did not republish the snapshot (warm=%v converged=%v)", resp.Warm, resp.Converged)
 	}
+	r.mu.RLock()
+	fresh := r.warm
+	r.mu.RUnlock()
 
-	// The slow query publishes late: the monotonic store must keep the
-	// fresher fixpoint.
-	r.storeSnapshotBeliefs(stale.beliefs, stale.evidence, stale.gen)
-	if snap := r.snapshot(); snap == nil || snap.gen != r.Generation() {
+	// The slow query publishes late: the fresher fixpoint must stay.
+	r.publish(stale.beliefs, stale.evidence, staleGen)
+	r.mu.RLock()
+	kept := r.warm == fresh
+	r.mu.RUnlock()
+	if !kept {
 		t.Fatal("late stale publication clobbered the re-converged snapshot")
 	}
 
-	// Force the hazardous precondition anyway — the stale fixpoint is
-	// the only snapshot in storage — and drive another non-structural
-	// update through. It must go cold, not seed from the stale fixpoint
-	// with only its own frontier.
+	// With no snapshot stored, the late publication must not fill the
+	// gap either; the next update then has nothing to carry forward.
 	r.InvalidateWarm()
-	r.storeSnapshotBeliefs(stale.beliefs, stale.evidence, stale.gen)
+	r.publish(stale.beliefs, stale.evidence, staleGen)
+	if r.HasWarm() {
+		t.Fatal("stale publication stored into an empty snapshot slot")
+	}
 	ru, err = r.DecodeUpdate([]byte(`{"updates":[{"op":"prior","node":"200","prior":[0.9,0.1]}]}`))
 	if err != nil {
 		t.Fatal(err)
@@ -293,10 +310,7 @@ func TestUpdateIgnoresStaleWarmSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.Warm {
-		t.Fatal("update adopted a warm snapshot from a stale generation")
-	}
-	if r.HasWarm() {
-		t.Fatal("stale snapshot still reachable after the update dropped it")
+		t.Fatal("update re-converged a snapshot from a stale generation")
 	}
 
 	// The next query runs cold against the fully-mutated base; its
@@ -312,6 +326,107 @@ func TestUpdateIgnoresStaleWarmSnapshot(t *testing.T) {
 	oracle := coldOracle(t, r, map[int32]int{17: 1})
 	if gap := worstGap(t, r, q, oracle); gap > float64(WarmTol) {
 		t.Errorf("post-update beliefs off by %g (want <= %g) — stale fixpoint leaked into the answer", gap, float64(WarmTol))
+	}
+}
+
+// TestUpdateWithoutSeedsKeepsWarm: a prior drift on an update-clamped
+// node is parked for retraction, so it bumps the generation but moves no
+// node and seeds nothing. The snapshot is still the base's fixpoint; the
+// update must report it warm and the next same-evidence query must reuse
+// it for free.
+func TestUpdateWithoutSeedsKeepsWarm(t *testing.T) {
+	s, r := newGridServer(t, Config{})
+	q := `{"evidence":[{"node":"17","state":1}]}`
+	if _, err := s.QueryResident(r, EngineResidual, decode(t, r, q)); err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{
+		`{"updates":[{"op":"evidence","node":"16","state":0}]}`,
+		`{"updates":[{"op":"prior","node":"16","prior":[0.3,0.7]}]}`,
+	} {
+		ru, err := r.DecodeUpdate([]byte(doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := s.UpdateResident(r, ru)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Warm || !resp.Converged {
+			t.Fatalf("%s: warm=%v converged=%v, want a warm converged snapshot", doc, resp.Warm, resp.Converged)
+		}
+	}
+	resp, err := s.QueryResident(r, EngineResidual, decode(t, r, q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Warm || resp.Updates != 0 {
+		t.Fatalf("same-evidence query after a seedless update: warm=%v updates=%d, want warm with 0", resp.Warm, resp.Updates)
+	}
+	oracle := coldOracle(t, r, map[int32]int{17: 1})
+	if gap := worstGap(t, r, resp, oracle); gap > float64(WarmTol) {
+		t.Errorf("beliefs off by %g (want <= %g)", gap, float64(WarmTol))
+	}
+}
+
+// probeFunc adapts a function to telemetry.Probe.
+type probeFunc func(telemetry.Event)
+
+func (f probeFunc) Emit(e telemetry.Event) { f(e) }
+
+// TestQueryOverlappingUpdateAnswersWarm: a query that arrives while an
+// update re-converges the snapshot must wait for the re-converged
+// fixpoint and answer warm, not find the base mutated and the snapshot
+// gone and pay a cold run. The probe starts the query from inside the
+// update's run and holds the run for 50 ms so the two overlap.
+func TestQueryOverlappingUpdateAnswersWarm(t *testing.T) {
+	var armed atomic.Bool
+	var s *Server
+	var r *Resident
+	type result struct {
+		resp *Response
+		err  error
+	}
+	done := make(chan result, 1)
+	var rq *ResolvedQuery
+	probe := probeFunc(func(e telemetry.Event) {
+		if e.Kind != telemetry.KindRunStart || !armed.CompareAndSwap(true, false) {
+			return
+		}
+		go func() {
+			resp, err := s.QueryResident(r, EngineResidual, rq)
+			done <- result{resp, err}
+		}()
+		time.Sleep(50 * time.Millisecond)
+	})
+	s, r = newGridServer(t, Config{Probe: probe})
+	rq = decode(t, r, `{"evidence":[{"node":"136","state":1}]}`)
+	if _, err := s.QueryResident(r, EngineResidual, rq); err != nil {
+		t.Fatal(err)
+	}
+
+	armed.Store(true)
+	ru, err := r.DecodeUpdate([]byte(`{"updates":[{"op":"prior","node":"40","prior":[0.9,0.1]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, err := s.UpdateResident(r, ru)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !up.Warm || armed.Load() {
+		t.Fatalf("update warm=%v, probe fired=%v: the overlap was not set up", up.Warm, !armed.Load())
+	}
+	got := <-done
+	if got.err != nil {
+		t.Fatal(got.err)
+	}
+	if !got.resp.Warm {
+		t.Fatalf("query overlapping the update's re-convergence ran cold (%d updates)", got.resp.Updates)
+	}
+	oracle := coldOracle(t, r, map[int32]int{136: 1})
+	if gap := worstGap(t, r, got.resp, oracle); gap > float64(WarmTol) {
+		t.Errorf("overlapping query off by %g (want <= %g)", gap, float64(WarmTol))
 	}
 }
 

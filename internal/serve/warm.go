@@ -11,85 +11,37 @@ import (
 	"credo/internal/telemetry"
 )
 
-// warmState is one converged fixpoint: the beliefs, the evidence they
-// were converged under, and the base-graph mutation generation the run
-// observed. A stored warmState is immutable — Query builds a fresh one
-// per convergence and swaps the pointer under warmMu — so readers only
-// need the pointer.
+// warmState is one converged fixpoint of the resident's base: the
+// beliefs and the evidence they were converged under. A stored warmState
+// is immutable — each publication builds a fresh one and swaps the
+// pointer under the resident's lock — so readers only need the pointer.
 type warmState struct {
 	beliefs  []float32
 	evidence []evPair // node-sorted query clamps, as in ResolvedQuery
-	gen      uint64   // base generation the fixpoint was converged against
 }
 
-// snapshot returns the current warm state, or nil when none exists or
-// the stored one is stale — its generation differs from the base's,
-// meaning the base was mutated (a /v1/update delta, an operator edit)
-// after the fixpoint was taken. Seeding from a stale fixpoint would
-// re-converge toward the wrong graph; generation keying makes staleness
-// structurally impossible instead of a protocol the mutating paths must
-// each remember (the bug this replaces: only an explicit InvalidateWarm
-// call dropped the snapshot, and the mutation paths didn't call it).
-func (r *Resident) snapshot() *warmState {
-	r.warmMu.Lock()
-	w := r.warm
-	r.warmMu.Unlock()
-	if w == nil || w.gen != r.Generation() {
-		return nil
-	}
-	return w
-}
-
-// storeSnapshot publishes a converged fixpoint as the new warm state,
-// keyed by the base generation the run leased its state at.
-func (r *Resident) storeSnapshot(g *graph.Graph, evidence []evPair, gen uint64) {
-	r.storeSnapshotBeliefs(g.Beliefs, evidence, gen)
-}
-
-// storeSnapshotBeliefs is storeSnapshot over a bare belief array — the
-// batched path extracts one lane of its SoA state and publishes it
-// here. Publication is monotonic in generation: a fixpoint computed
-// against a generation the base has since left behind must not clobber
-// a fresher snapshot (the race: a query leased at generation G
-// converges after a /v1/update has already moved the base to G+1 and
-// re-published — the late store would otherwise overwrite the G+1
-// fixpoint with one missing the update's changes, and the next
-// non-structural update would adopt it as its re-convergence start).
-// The comparison is against the stored snapshot rather than
-// r.Generation() because the batched flush publishes while holding
-// baseMu.RLock — a nested RLock behind a waiting writer deadlocks.
-func (r *Resident) storeSnapshotBeliefs(beliefs []float32, evidence []evPair, gen uint64) {
+// publish stores a converged fixpoint as the warm snapshot if the base
+// is still at generation gen, the one the run leased; otherwise the
+// fixpoint describes a base that no longer exists and is dropped. The
+// copy is made before taking the lock. The caller must not hold mu.
+func (r *Resident) publish(beliefs []float32, evidence []evPair, gen uint64) {
 	w := &warmState{
 		beliefs:  append([]float32(nil), beliefs...),
 		evidence: append([]evPair(nil), evidence...),
-		gen:      gen,
 	}
-	r.warmMu.Lock()
-	if r.warm == nil || r.warm.gen <= gen {
+	r.mu.Lock()
+	if r.base.Generation() == gen {
 		r.warm = w
 	}
-	r.warmMu.Unlock()
+	r.mu.Unlock()
 }
 
 // InvalidateWarm drops the warm-start snapshot (operator hook: after
 // reloading a graph in place the old fixpoint is meaningless).
 func (r *Resident) InvalidateWarm() {
-	r.warmMu.Lock()
+	r.mu.Lock()
 	r.warm = nil
-	r.warmMu.Unlock()
-}
-
-// invalidateWarmThrough drops the warm-start snapshot only if its
-// generation is at or below gen — the update path's invalidation: it
-// must drop the snapshot it decided not to carry forward without
-// destroying a fresher one a racing later update may have published in
-// the meantime.
-func (r *Resident) invalidateWarmThrough(gen uint64) {
-	r.warmMu.Lock()
-	if r.warm != nil && r.warm.gen <= gen {
-		r.warm = nil
-	}
-	r.warmMu.Unlock()
+	r.mu.Unlock()
 }
 
 // diffEvidence merges two node-sorted evidence lists and calls fn, in
@@ -177,7 +129,7 @@ func (s *Server) queryResident(r *Resident, engine string, rq *ResolvedQuery, tr
 	}
 	start := time.Now()
 
-	g, gen := r.lease()
+	g, snap, gen := r.lease()
 	defer r.release(g)
 	for _, ev := range rq.evidence {
 		if err := g.Observe(ev.node, int(ev.state)); err != nil {
@@ -192,15 +144,13 @@ func (s *Server) queryResident(r *Resident, engine string, rq *ResolvedQuery, tr
 		opts.Probe = telemetry.Multi(opts.Probe, tr)
 	}
 
-	// Warm path: the residual-family engines resume from the snapshot.
-	// The snapshot must match the generation the overlay was leased at —
-	// not merely the current one — or a base mutation racing this query
-	// could pair a new-generation fixpoint with an old-generation overlay.
+	// Warm path: the residual-family engines resume from the snapshot,
+	// which lease read together with the overlay's state.
 	warmable := engine == EngineAuto || engine == EngineResidual || engine == EngineRelax
 	var res bp.Result
 	var label string
 	warm := false
-	if snap := r.snapshot(); warmable && snap != nil && snap.gen == gen {
+	if warmable && snap != nil {
 		warm = true
 		stage := tr.Span("stage.warm")
 		changed, seeds := perturbedFrontier(g, snap.evidence, rq.evidence)
@@ -230,12 +180,7 @@ func (s *Server) queryResident(r *Resident, engine string, rq *ResolvedQuery, tr
 	}
 
 	if res.Converged {
-		r.storeSnapshot(g, rq.evidence, gen)
-		if warm {
-			r.warmMu.Lock()
-			r.warmed++
-			r.warmMu.Unlock()
-		}
+		r.publish(g.Beliefs, rq.evidence, gen)
 	}
 
 	ext := tr.Span("extract")
@@ -279,7 +224,9 @@ func (s *Server) runCold(r *Resident, g *graph.Graph, engine string, opts bp.Opt
 	switch engine {
 	case EngineAuto:
 		sel := tr.Span("select")
-		md, footprint := r.stats()
+		r.mu.RLock()
+		md, footprint := r.md, r.footprint
+		r.mu.RUnlock()
 		impl = eng.Choose(md, footprint)
 		sel.End()
 	case EngineNode:
