@@ -37,10 +37,11 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # The CI build job's determinism step: the engines that promise
-# reproducible results, five times each at 1, 2 and 4 procs (a result
-# that depends on worker timing rarely shows at -cpu 1).
+# reproducible results, plus relaxbp's seeded runs and its oracle check,
+# five times each at 1, 2 and 4 procs (a result that depends on worker
+# timing rarely shows at -cpu 1).
 determinism:
-	$(GO) test -count=5 -cpu 1,2,4 -run 'Deterministic|Reproducible' ./internal/poolbp ./internal/ompbp ./internal/cudabp ./cmd/credobench
+	$(GO) test -count=5 -cpu 1,2,4 -run 'Determinis|Reproducible|FixpointMatchesOracle' ./internal/poolbp ./internal/ompbp ./internal/cudabp ./internal/relaxbp ./cmd/credobench
 
 # The CI build job's benchmark-module step: servebench is a nested
 # module, so the root ./... skips it, yet it compiles against the

@@ -101,7 +101,7 @@ func run(args []string, out io.Writer) error {
 	}
 	if *httpAddr != "" {
 		metrics := &telemetry.Metrics{}
-		probes = append(probes, metrics)
+		probes = append(probes, metrics, telemetry.ExecTrace{})
 		server, err := telemetry.NewServer(*httpAddr, metrics, nil)
 		if err != nil {
 			return err

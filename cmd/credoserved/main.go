@@ -48,6 +48,23 @@ func main() {
 	}
 }
 
+// Query-plane connection bounds. The header timeout drops a client that
+// opens a connection and never finishes its request headers; on a
+// kept-alive connection it starts only once the next request's first
+// bytes arrive, after the idle timeout has bounded the wait for them.
+// There is no read or write timeout: either deadline keeps running while
+// the handler waits for admission (the body is read after it) and runs
+// its query, and a cold query on a large resident takes seconds.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newQueryServer builds the query plane's HTTP server around h.
+func newQueryServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 // app is a fully configured daemon: the serving instance plus the
 // listener addresses and telemetry lifecycle it owns.
 type app struct {
@@ -104,7 +121,7 @@ func build(args []string, out io.Writer) (*app, error) {
 	}
 	if *ops != "" {
 		a.metrics = &telemetry.Metrics{}
-		probes = append(probes, a.metrics)
+		probes = append(probes, a.metrics, telemetry.ExecTrace{})
 	}
 	// Tracing rides on the telemetry sinks: without an ops plane or a
 	// trace file there is nowhere for spans or flight records to go, so
@@ -147,13 +164,12 @@ func build(args []string, out io.Writer) (*app, error) {
 			Threshold:     float32(*threshold),
 			MaxIterations: *maxIter,
 			WorkQueue:     true,
-			// Probe is installed by serve from Config.Probe.
+			Probe:         telemetry.Multi(probes...),
 		},
 		Workers:       *workers,
 		MaxInFlight:   *maxInFlight,
 		MaxQueue:      *maxQueue,
 		RetryAfter:    *retryAfter,
-		Probe:         telemetry.Multi(probes...),
 		Tracer:        a.tracer,
 		MRF:           *mrf,
 		IngestWorkers: *ingestWorkers,
@@ -197,7 +213,7 @@ func (a *app) run(ctx context.Context, ready func(addr string)) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: a.srv.Handler()}
+	hs := newQueryServer(a.srv.Handler())
 	fmt.Fprintf(a.out, "serving %s on http://%s/v1/query\n",
 		strings.Join(a.srv.Names(), ", "), ln.Addr())
 	if ready != nil {

@@ -53,6 +53,19 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestQueryServerTimeouts pins the query plane's connection bounds: a
+// header timeout and an idle timeout, and no read or write deadline that
+// would cut a long cold query.
+func TestQueryServerTimeouts(t *testing.T) {
+	hs := newQueryServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != 10*time.Second || hs.IdleTimeout != 2*time.Minute {
+		t.Errorf("ReadHeaderTimeout = %v, IdleTimeout = %v; want 10s and 2m", hs.ReadHeaderTimeout, hs.IdleTimeout)
+	}
+	if hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout = %v, WriteTimeout = %v; want none", hs.ReadTimeout, hs.WriteTimeout)
+	}
+}
+
 // TestServeEndToEnd boots the daemon on an ephemeral port with the
 // sprinkler network and a JSONL trace, runs a cold and then a warm query
 // through real HTTP, and shuts down on context cancel — the in-process

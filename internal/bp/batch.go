@@ -108,10 +108,9 @@ func RunBatchInto(g *graph.Graph, bs *graph.BatchState, opts Options, lanes []La
 
 func runBatch(g *graph.Graph, bs *graph.BatchState, opts Options, sc *batchScratch, lanes []LaneResult) BatchResult {
 	opts = opts.withDefaults(g.NumNodes)
-	defer opts.Trace.Span(engBatch).End()
+	kk, used := bs.K, bs.Used
+	EmitRunStart(opts.Probe, engBatch, int64(g.NumNodes)*int64(used), opts.Threshold)
 	s := g.States
-	kk := bs.K
-	used := bs.Used
 	gatherLines := int64((s*kk*4 + 63) / 64) // cache lines per K-wide parent gather
 	matLines := int64(0)
 	if !g.SharedMatrix() {
@@ -158,14 +157,11 @@ func runBatch(g *graph.Graph, bs *graph.BatchState, opts Options, sc *batchScrat
 	live := used
 
 	probe := opts.Probe
-	ctx, endTask := telemetry.BeginRun(engBatch)
-	emitRunStart(probe, engBatch, int64(g.NumNodes)*int64(used), opts.Threshold)
 	var lastNodes, lastEdges int64
 
 	for iter := 0; iter < opts.MaxIterations && live > 0; iter++ {
 		res.Iterations = iter + 1
 		res.Ops.Iterations++
-		endIter := telemetry.StartRegion(ctx, "iteration")
 		copy(prev, bs.Beliefs)
 		for l := 0; l < kk; l++ {
 			laneDelta[l] = 0
@@ -224,7 +220,6 @@ func runBatch(g *graph.Graph, bs *graph.BatchState, opts Options, sc *batchScrat
 				live--
 			}
 		}
-		endIter()
 		if probe != nil {
 			probe.Emit(telemetry.Event{
 				Kind:     telemetry.KindIteration,
@@ -253,8 +248,7 @@ func runBatch(g *graph.Graph, bs *graph.BatchState, opts Options, sc *batchScrat
 			r.FinalDelta += laneFinal[l]
 		}
 		r.Ops = res.Ops
-		emitRunEnd(probe, engBatch, &r)
+		EmitRunEnd(probe, engBatch, &r)
 	}
-	endTask()
 	return res
 }

@@ -82,19 +82,13 @@ type Options struct {
 	// frontier/queue occupancy and engine-specific scheduler counters
 	// (see package telemetry). Every engine — including the parallel and
 	// device ones, whose options embed this struct — reports into the
-	// same probe. Nil (the default) keeps every hot path untouched: the
-	// disabled path is locked at 0 allocs/run and within benchmark noise
-	// of the uninstrumented engines.
+	// same probe, and it is their only reporting path: a request trace
+	// (telemetry.Trace) in the chain derives the run's span from the
+	// run_start/run_end pair, and telemetry.ExecTrace forwards the events
+	// to the Go execution tracer. Nil (the default) keeps every hot path
+	// untouched: the disabled path is locked at 0 allocs/run and within
+	// benchmark noise of the uninstrumented engines.
 	Probe telemetry.Probe
-
-	// Trace, when non-nil, is the request-scoped trace this run belongs
-	// to (the serving layer's span tree): the engine opens one span
-	// covering its execution, so a query's trace shows exactly how much
-	// of its wall clock the propagation itself consumed versus the
-	// pipeline around it. Nil (the default) costs one pointer check —
-	// the span helpers are nil-safe no-ops and the disabled path stays
-	// at 0 allocs/run.
-	Trace *telemetry.Trace
 }
 
 func (o Options) withDefaults(numNodes int) Options {

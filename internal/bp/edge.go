@@ -38,7 +38,7 @@ func RunEdge(g *graph.Graph, opts Options) Result {
 
 func runEdge(g *graph.Graph, opts Options, sc *runScratch) Result {
 	opts = opts.withDefaults(g.NumNodes)
-	defer opts.Trace.Span(engEdge).End()
+	EmitRunStart(opts.Probe, engEdge, int64(g.NumEdges), opts.Threshold)
 	s := g.States
 	matLines := int64(0) // per-edge joint matrices cost a random gather each
 	if !g.SharedMatrix() {
@@ -84,15 +84,12 @@ func runEdge(g *graph.Graph, opts Options, sc *runScratch) Result {
 	}
 
 	probe := opts.Probe
-	ctx, endTask := telemetry.BeginRun(engEdge)
-	emitRunStart(probe, engEdge, int64(g.NumEdges), opts.Threshold)
 	var lastNodes, lastEdges int64
 
 	done := false
 	for iter := 0; iter < opts.MaxIterations && !done; iter++ {
 		res.Iterations = iter + 1
 		res.Ops.Iterations++
-		endIter := telemetry.StartRegion(ctx, "iteration")
 		copy(prev, g.Beliefs)
 
 		if opts.WorkQueue {
@@ -147,7 +144,6 @@ func runEdge(g *graph.Graph, opts Options, sc *runScratch) Result {
 			res.Converged = true
 			done = true
 		}
-		endIter()
 		if probe != nil {
 			active := int64(-1)
 			if opts.WorkQueue {
@@ -170,8 +166,7 @@ func runEdge(g *graph.Graph, opts Options, sc *runScratch) Result {
 	}
 	sc.queue, sc.next = queue, next
 	res.Ops.addKernelCounters(sc.ks.Counters)
-	emitRunEnd(probe, engEdge, &res)
-	endTask()
+	EmitRunEnd(probe, engEdge, &res)
 	return res
 }
 

@@ -42,15 +42,13 @@ func runMaxProduct(g *graph.Graph, opts Options, sc *runScratch) Result {
 	}
 
 	probe := opts.Probe
-	ctx, endTask := telemetry.BeginRun(engMaxProduct)
-	emitRunStart(probe, engMaxProduct, int64(g.NumNodes), opts.Threshold)
+	EmitRunStart(probe, engMaxProduct, int64(g.NumNodes), opts.Threshold)
 	var lastNodes, lastEdges int64
 
 	done := false
 	for iter := 0; iter < opts.MaxIterations && !done; iter++ {
 		res.Iterations = iter + 1
 		res.Ops.Iterations++
-		endIter := telemetry.StartRegion(ctx, "iteration")
 		copy(prev, g.Beliefs)
 
 		var sum float32
@@ -91,7 +89,6 @@ func runMaxProduct(g *graph.Graph, opts Options, sc *runScratch) Result {
 			res.Converged = true
 			done = true
 		}
-		endIter()
 		if probe != nil {
 			active := int64(-1)
 			if opts.WorkQueue {
@@ -114,8 +111,7 @@ func runMaxProduct(g *graph.Graph, opts Options, sc *runScratch) Result {
 	}
 	sc.queue, sc.next = queue, next
 	res.Ops.addKernelCounters(sc.ks.Counters)
-	emitRunEnd(probe, engMaxProduct, &res)
-	endTask()
+	EmitRunEnd(probe, engMaxProduct, &res)
 	return res
 }
 

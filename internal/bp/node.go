@@ -37,7 +37,7 @@ func RunNode(g *graph.Graph, opts Options) Result {
 
 func runNode(g *graph.Graph, opts Options, sc *runScratch) Result {
 	opts = opts.withDefaults(g.NumNodes)
-	defer opts.Trace.Span(engNode).End()
+	EmitRunStart(opts.Probe, engNode, int64(g.NumNodes), opts.Threshold)
 	s := g.States
 	gatherLines := int64((s*4 + 63) / 64) // cache lines per random parent gather
 	matLines := int64(0)                  // per-edge joint matrices are a second random gather
@@ -61,15 +61,12 @@ func runNode(g *graph.Graph, opts Options, sc *runScratch) Result {
 	}
 
 	probe := opts.Probe
-	ctx, endTask := telemetry.BeginRun(engNode)
-	emitRunStart(probe, engNode, int64(g.NumNodes), opts.Threshold)
 	var lastNodes, lastEdges int64
 
 	done := false
 	for iter := 0; iter < opts.MaxIterations && !done; iter++ {
 		res.Iterations = iter + 1
 		res.Ops.Iterations++
-		endIter := telemetry.StartRegion(ctx, "iteration")
 		copy(prev, g.Beliefs)
 
 		var sum float32
@@ -117,7 +114,6 @@ func runNode(g *graph.Graph, opts Options, sc *runScratch) Result {
 			res.Converged = true
 			done = true
 		}
-		endIter()
 		if probe != nil {
 			active := int64(-1)
 			if opts.WorkQueue {
@@ -140,8 +136,7 @@ func runNode(g *graph.Graph, opts Options, sc *runScratch) Result {
 	}
 	sc.queue, sc.next = queue, next
 	res.Ops.addKernelCounters(sc.ks.Counters)
-	emitRunEnd(probe, engNode, &res)
-	endTask()
+	EmitRunEnd(probe, engNode, &res)
 	return res
 }
 

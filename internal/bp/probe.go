@@ -14,11 +14,14 @@ const (
 	engMaxProduct  = "bp.maxproduct"
 )
 
-// emitRunStart reports the start of one engine execution. All emit
-// helpers are nil-safe: with no probe attached they return before
-// building the event, which is what keeps the disabled path free of
-// allocations and branches beyond one nil check.
-func emitRunStart(p telemetry.Probe, engine string, items int64, threshold float32) {
+// EmitRunStart reports the start of one engine execution. Every engine,
+// here and in the parallel and device packages, frames its run with
+// EmitRunStart and EmitRunEnd, and sinks derive from that pair whatever
+// they need of a run (the request trace its engine span, the execution
+// tracer its run boundaries). Both are nil-safe: with no probe attached
+// they return before building the event, which keeps the disabled path
+// free of allocations and of branches beyond one nil check.
+func EmitRunStart(p telemetry.Probe, engine string, items int64, threshold float32) {
 	if p == nil {
 		return
 	}
@@ -30,10 +33,11 @@ func emitRunStart(p telemetry.Probe, engine string, items int64, threshold float
 	})
 }
 
-// emitRunEnd reports the outcome of a finished run with the cumulative
+// EmitRunEnd reports the outcome of a finished run with the cumulative
 // counters of its OpCounts (including the kernel counters, so callers
-// must emit after addKernelCounters).
-func emitRunEnd(p telemetry.Probe, engine string, res *Result) {
+// must emit after accumulating them). Counters an engine does not keep
+// are zero in its Result and so in the event.
+func EmitRunEnd(p telemetry.Probe, engine string, res *Result) {
 	if p == nil {
 		return
 	}

@@ -62,20 +62,16 @@ func RunResidualFrom(g *graph.Graph, opts Options, seeds []int32) Result {
 // node space (cold start); otherwise only *seeds enter the queue.
 func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds *[]int32) Result {
 	opts = opts.withDefaults(g.NumNodes)
-	defer opts.Trace.Span(engResidual).End()
+	EmitRunStart(opts.Probe, engResidual, int64(g.NumNodes), opts.Threshold)
 	s := g.States
 	k := kernel.New(g, opts.Kernel)
 
 	var res Result
-
 	probe := opts.Probe
-	ctx, endTask := telemetry.BeginRun(engResidual)
-	emitRunStart(probe, engResidual, int64(g.NumNodes), opts.Threshold)
 
 	sc.cand = growF32(sc.cand, s)
 	cand := sc.cand
 
-	endSeed := telemetry.StartRegion(ctx, "seed")
 	pq := &sc.pq
 	pq.reset(g.NumNodes)
 	seedOne := func(v int32) {
@@ -102,9 +98,6 @@ func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds *[]int32) R
 		}
 	}
 
-	endSeed()
-
-	endSched := telemetry.StartRegion(ctx, "schedule")
 	batch := int64(g.NumNodes)
 	var lastNodes, lastEdges int64
 	maxUpdates := int64(opts.MaxIterations) * int64(g.NumNodes)
@@ -180,7 +173,6 @@ func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds *[]int32) R
 			lastNodes, lastEdges = res.Ops.NodesProcessed, res.Ops.EdgesProcessed
 		}
 	}
-	endSched()
 	if pq.Len() == 0 {
 		res.Converged = true
 	}
@@ -191,8 +183,7 @@ func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds *[]int32) R
 	res.Ops.Iterations = int64(res.Iterations)
 	res.FinalDelta = pq.maxResidual()
 	res.Ops.addKernelCounters(sc.ks.Counters)
-	emitRunEnd(probe, engResidual, &res)
-	endTask()
+	EmitRunEnd(probe, engResidual, &res)
 	return res
 }
 

@@ -31,10 +31,8 @@ func runTraditional(g *graph.Graph, opts Options, sc *runScratch) Result {
 	var res Result
 
 	probe := opts.Probe
-	ctx, endTask := telemetry.BeginRun(engTraditional)
-	emitRunStart(probe, engTraditional, int64(g.NumNodes), opts.Threshold)
+	EmitRunStart(probe, engTraditional, int64(g.NumNodes), opts.Threshold)
 
-	endLevels := telemetry.StartRegion(ctx, "levels")
 	// Level determination: level[v] = 1 + max(level[parent]), computed by
 	// repeated relaxation sweeps over the edge list (the "enormous
 	// overhead" of §2.1.1). Cycles are cut by capping a node's level at
@@ -66,11 +64,9 @@ func runTraditional(g *graph.Graph, opts Options, sc *runScratch) Result {
 		}
 	}
 	res.Ops.MemLoads += 2 * int64(g.NumNodes) * int64(g.NumEdges)
-	endLevels()
 
 	// Forward (φ) sweep: naive by-level processing scans every node at
 	// every level.
-	endForward := telemetry.StartRegion(ctx, "forward")
 	for l := int32(0); l <= maxLevel; l++ {
 		for v := int32(0); v < int32(g.NumNodes); v++ {
 			res.Ops.MemLoads++
@@ -79,7 +75,6 @@ func runTraditional(g *graph.Graph, opts Options, sc *runScratch) Result {
 			}
 		}
 	}
-	endForward()
 	// The two passes report as iterations 1 (forward) and 2 (backward):
 	// the traditional algorithm has no residual, so Delta stays 0 and the
 	// trajectory carries the two sweeps' update counts.
@@ -99,7 +94,6 @@ func runTraditional(g *graph.Graph, opts Options, sc *runScratch) Result {
 	fwdNodes, fwdEdges := res.Ops.NodesProcessed, res.Ops.EdgesProcessed
 
 	// Backward (ψ) sweep.
-	endBackward := telemetry.StartRegion(ctx, "backward")
 	for l := maxLevel; l >= 0; l-- {
 		for v := int32(0); v < int32(g.NumNodes); v++ {
 			res.Ops.MemLoads++
@@ -108,7 +102,6 @@ func runTraditional(g *graph.Graph, opts Options, sc *runScratch) Result {
 			}
 		}
 	}
-	endBackward()
 	if probe != nil {
 		probe.Emit(telemetry.Event{
 			Kind:     telemetry.KindIteration,
@@ -126,8 +119,7 @@ func runTraditional(g *graph.Graph, opts Options, sc *runScratch) Result {
 	res.Iterations = 2
 	res.Converged = true
 	res.Ops.addKernelCounters(sc.ks.Counters)
-	emitRunEnd(probe, engTraditional, &res)
-	endTask()
+	EmitRunEnd(probe, engTraditional, &res)
 	return res
 }
 

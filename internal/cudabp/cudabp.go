@@ -28,6 +28,16 @@ import (
 	"credo/internal/telemetry"
 )
 
+// Engine names as they appear in telemetry events. Probe events fire
+// once per simulated iteration: on a real device the per-iteration
+// residual lives in VRAM between batch transfers, but the simulation
+// computes it host-side every iteration anyway, so the trace reports the
+// series a device-side ring buffer would hold.
+const (
+	engNode = "cuda.node"
+	engEdge = "cuda.edge"
+)
+
 // DefaultBlockDim is the paper's block size for all benchmarks (§4).
 const DefaultBlockDim = 1024
 
@@ -139,13 +149,11 @@ func RunEdge(g *graph.Graph, dev *gpusim.Device, opts Options) (Result, error) {
 	matBytes := int64(s*s) * 4
 
 	probe := opts.Probe
-	ctx, endTask := telemetry.BeginRun(engEdge)
-	emitRunStart(probe, engEdge, int64(g.NumEdges), opts.Threshold)
+	bp.EmitRunStart(probe, engEdge, int64(g.NumEdges), opts.Threshold)
 
 	for iter := 0; iter < opts.MaxIterations; iter++ {
 		res.Iterations = iter + 1
 		res.Ops.Iterations++
-		endIter := telemetry.StartRegion(ctx, "iteration")
 
 		n := len(active)
 		grid := (n + opts.BlockDim - 1) / opts.BlockDim
@@ -213,7 +221,6 @@ func RunEdge(g *graph.Graph, dev *gpusim.Device, opts Options) (Result, error) {
 
 		cur, nxt = nxt, cur
 
-		endIter()
 		if probe != nil {
 			qlen := int64(-1)
 			if opts.WorkQueue {
@@ -247,8 +254,7 @@ func RunEdge(g *graph.Graph, dev *gpusim.Device, opts Options) (Result, error) {
 	dev.CopyToHost(int64(len(g.Beliefs)) * 4)
 	res.SimTime = dev.SimTime()
 	res.DeviceStats = dev.Stats()
-	emitRunEnd(probe, engEdge, &res.Result)
-	endTask()
+	bp.EmitRunEnd(probe, engEdge, &res.Result)
 	return res, nil
 }
 
@@ -284,13 +290,11 @@ func RunNode(g *graph.Graph, dev *gpusim.Device, opts Options) (Result, error) {
 	matBytes := int64(s*s) * 4
 
 	probe := opts.Probe
-	ctx, endTask := telemetry.BeginRun(engNode)
-	emitRunStart(probe, engNode, int64(g.NumNodes), opts.Threshold)
+	bp.EmitRunStart(probe, engNode, int64(g.NumNodes), opts.Threshold)
 
 	for iter := 0; iter < opts.MaxIterations; iter++ {
 		res.Iterations = iter + 1
 		res.Ops.Iterations++
-		endIter := telemetry.StartRegion(ctx, "iteration")
 
 		n := len(active)
 		if opts.WorkQueue && n < g.NumNodes {
@@ -376,7 +380,6 @@ func RunNode(g *graph.Graph, dev *gpusim.Device, opts Options) (Result, error) {
 
 		cur, nxt = nxt, cur
 
-		endIter()
 		if probe != nil {
 			qlen := int64(-1)
 			if opts.WorkQueue {
@@ -407,8 +410,7 @@ func RunNode(g *graph.Graph, dev *gpusim.Device, opts Options) (Result, error) {
 	dev.CopyToHost(int64(len(g.Beliefs)) * 4)
 	res.SimTime = dev.SimTime()
 	res.DeviceStats = dev.Stats()
-	emitRunEnd(probe, engNode, &res.Result)
-	endTask()
+	bp.EmitRunEnd(probe, engNode, &res.Result)
 	return res, nil
 }
 

@@ -20,6 +20,12 @@ import (
 	"credo/internal/telemetry"
 )
 
+// Engine names as they appear in telemetry events.
+const (
+	engNode = "omp.node"
+	engEdge = "omp.edge"
+)
+
 // Schedule selects the OpenMP-style loop schedule.
 type Schedule int
 
@@ -162,14 +168,12 @@ func RunNode(g *graph.Graph, opts Options) bp.Result {
 	}
 
 	probe := o.Probe
-	ctx, endTask := telemetry.BeginRun(engNode)
-	emitRunStart(probe, engNode, int64(g.NumNodes), o.Threshold)
+	bp.EmitRunStart(probe, engNode, int64(g.NumNodes), o.Threshold)
 	var lastNodes, lastEdges int64
 
 	for iter := 0; iter < o.MaxIterations; iter++ {
 		res.Iterations = iter + 1
 		res.Ops.Iterations++
-		endIter := telemetry.StartRegion(ctx, "iteration")
 		copy(prev, g.Beliefs)
 		for w := range partial {
 			partial[w] = 0
@@ -225,7 +229,6 @@ func RunNode(g *graph.Graph, opts Options) bp.Result {
 			active = next
 		}
 
-		endIter()
 		if probe != nil {
 			nodes, edges := nodesProcessed.Load(), edgesProcessed.Load()
 			var fast, resc int64
@@ -267,8 +270,7 @@ func RunNode(g *graph.Graph, opts Options) bp.Result {
 		res.Ops.KernelFastPath += kss[w].Counters.FastPath
 		res.Ops.RescaleOps += kss[w].Counters.Rescales
 	}
-	emitRunEnd(probe, engNode, &res)
-	endTask()
+	bp.EmitRunEnd(probe, engNode, &res)
 	return res
 }
 
@@ -325,14 +327,12 @@ func RunEdge(g *graph.Graph, opts Options) bp.Result {
 	}
 
 	probe := o.Probe
-	ctx, endTask := telemetry.BeginRun(engEdge)
-	emitRunStart(probe, engEdge, int64(g.NumEdges), o.Threshold)
+	bp.EmitRunStart(probe, engEdge, int64(g.NumEdges), o.Threshold)
 	var lastEdges int64
 
 	for iter := 0; iter < o.MaxIterations; iter++ {
 		res.Iterations = iter + 1
 		res.Ops.Iterations++
-		endIter := telemetry.StartRegion(ctx, "iteration")
 		copy(prev, g.Beliefs)
 
 		// Edge phase: recompute messages and atomically fold the change
@@ -406,7 +406,6 @@ func RunEdge(g *graph.Graph, opts Options) bp.Result {
 			active = next
 		}
 
-		endIter()
 		if probe != nil {
 			edges := edgesProcessed.Load()
 			qlen := int64(-1)
@@ -438,7 +437,6 @@ func RunEdge(g *graph.Graph, opts Options) bp.Result {
 	res.Ops.MemLoads = res.Ops.EdgesProcessed*int64(2*s) + res.Ops.NodesProcessed*int64(3*s)
 	res.Ops.MemStores = res.Ops.EdgesProcessed*int64(2*s) + res.Ops.NodesProcessed*int64(s)
 	res.Ops.LogOps = res.Ops.EdgesProcessed*int64(2*s) + res.Ops.NodesProcessed*int64(s)
-	emitRunEnd(probe, engEdge, &res)
-	endTask()
+	bp.EmitRunEnd(probe, engEdge, &res)
 	return res
 }

@@ -34,10 +34,9 @@ const engBatch = "pool.batch"
 func RunBatch(g *graph.Graph, bs *graph.BatchState, opts Options) bp.BatchResult {
 	opts = opts.withDefaults()
 	o := opts.Options
-	defer o.Trace.Span(engBatch).End()
+	kk, used := bs.K, bs.Used
+	bp.EmitRunStart(o.Probe, engBatch, int64(g.NumNodes)*int64(used), o.Threshold)
 	s := g.States
-	kk := bs.K
-	used := bs.Used
 	gatherLines := int64((s*kk*4 + 63) / 64) // cache lines per K-wide parent gather
 	matLines := int64(0)
 	if !g.SharedMatrix() {
@@ -81,8 +80,6 @@ func RunBatch(g *graph.Graph, bs *graph.BatchState, opts Options) bp.BatchResult
 	res.Lanes = lanes
 
 	probe := o.Probe
-	ctx, endTask := telemetry.BeginRun(engBatch)
-	emitRunStart(probe, engBatch, int64(g.NumNodes)*int64(used), o.Threshold)
 
 	p := newPool(workers)
 	defer p.close()
@@ -150,9 +147,7 @@ func RunBatch(g *graph.Graph, bs *graph.BatchState, opts Options) bp.BatchResult
 		}
 
 		cursor.Store(0)
-		endCompute := telemetry.StartRegion(ctx, "compute")
 		rr.run(computeBody)
-		endCompute()
 		res.Ops.SyncOps += int64(workers)
 		bk.EndSweep()
 
@@ -236,8 +231,7 @@ func RunBatch(g *graph.Graph, bs *graph.BatchState, opts Options) bp.BatchResult
 			r.FinalDelta += lanes[l].FinalDelta
 		}
 		r.Ops = res.Ops
-		emitRunEnd(probe, engBatch, &r)
+		bp.EmitRunEnd(probe, engBatch, &r)
 	}
-	endTask()
 	return res
 }

@@ -38,6 +38,12 @@ import (
 	"credo/internal/telemetry"
 )
 
+// Engine names as they appear in telemetry events.
+const (
+	engNode = "pool.node"
+	engEdge = "pool.edge"
+)
+
 // DefaultCheckEvery is the convergence-check batching factor: the global
 // delta reduction runs once per this many sweeps.
 const DefaultCheckEvery = 4
@@ -185,7 +191,7 @@ func markOnce(mark []uint32, i int32) {
 func RunNode(g *graph.Graph, opts Options) bp.Result {
 	opts = opts.withDefaults()
 	o := opts.Options
-	defer o.Trace.Span(engNode).End()
+	bp.EmitRunStart(o.Probe, engNode, int64(g.NumNodes), o.Threshold)
 	s := g.States
 	gatherLines := int64((s*4 + 63) / 64) // cache lines per random parent gather
 	matLines := int64(0)                  // per-edge joint matrices are a second random gather
@@ -214,8 +220,6 @@ func RunNode(g *graph.Graph, opts Options) bp.Result {
 	}
 
 	probe := o.Probe
-	ctx, endTask := telemetry.BeginRun(engNode)
-	emitRunStart(probe, engNode, int64(g.NumNodes), o.Threshold)
 
 	p := newPool(workers)
 	defer p.close()
@@ -290,16 +294,12 @@ func RunNode(g *graph.Graph, opts Options) bp.Result {
 		}
 
 		cursor.Store(0)
-		endCompute := telemetry.StartRegion(ctx, "compute")
 		rr.run(computeBody)
-		endCompute()
 		res.Ops.SyncOps += int64(workers)
 		k.EndSweep() // the workers are parked: commit the sweep's correction messages
 
 		if o.WorkQueue {
-			endRebuild := telemetry.StartRegion(ctx, "rebuild")
 			totalActive = rebuild()
-			endRebuild()
 			res.Ops.SyncOps += int64(workers)
 		}
 
@@ -362,8 +362,7 @@ func RunNode(g *graph.Graph, opts Options) bp.Result {
 		res.Ops.RescaleOps += ks[w].Counters.Rescales
 	}
 	rr.emitWorkers(probe, engNode)
-	emitRunEnd(probe, engNode, &res)
-	endTask()
+	bp.EmitRunEnd(probe, engNode, &res)
 	return res
 }
 
@@ -376,7 +375,7 @@ func RunNode(g *graph.Graph, opts Options) bp.Result {
 func RunEdge(g *graph.Graph, opts Options) bp.Result {
 	opts = opts.withDefaults()
 	o := opts.Options
-	defer o.Trace.Span(engEdge).End()
+	bp.EmitRunStart(o.Probe, engEdge, int64(g.NumEdges), o.Threshold)
 	s := g.States
 	matLines := int64(0)
 	if !g.SharedMatrix() {
@@ -424,8 +423,6 @@ func RunEdge(g *graph.Graph, opts Options) bp.Result {
 	}
 
 	probe := o.Probe
-	ctx, endTask := telemetry.BeginRun(engEdge)
-	emitRunStart(probe, engEdge, int64(g.NumEdges), o.Threshold)
 
 	p := newPool(workers)
 	defer p.close()
@@ -525,21 +522,15 @@ func RunEdge(g *graph.Graph, opts Options) bp.Result {
 		}
 
 		cursor.Store(0)
-		endEdges := telemetry.StartRegion(ctx, "edges")
 		rr.run(edgeBody)
-		endEdges()
 		res.Ops.SyncOps += int64(workers)
 
 		cursor.Store(0)
-		endCombine := telemetry.StartRegion(ctx, "combine")
 		rr.run(combineBody)
-		endCombine()
 		res.Ops.SyncOps += int64(workers)
 
 		if o.WorkQueue {
-			endRebuild := telemetry.StartRegion(ctx, "rebuild")
 			totalActive = rebuild()
-			endRebuild()
 			res.Ops.SyncOps += int64(workers)
 		}
 
@@ -586,7 +577,6 @@ func RunEdge(g *graph.Graph, opts Options) bp.Result {
 		res.Ops.Add(ops)
 	}
 	rr.emitWorkers(probe, engEdge)
-	emitRunEnd(probe, engEdge, &res)
-	endTask()
+	bp.EmitRunEnd(probe, engEdge, &res)
 	return res
 }

@@ -3,14 +3,7 @@ package poolbp
 import (
 	"time"
 
-	"credo/internal/bp"
 	"credo/internal/telemetry"
-)
-
-// Engine names as they appear in telemetry events.
-const (
-	engNode = "pool.node"
-	engEdge = "pool.edge"
 )
 
 // regionRunner launches parallel regions on the pool. With a probe
@@ -66,35 +59,4 @@ func (r *regionRunner) emitWorkers(probe telemetry.Probe, engine string) {
 			WallNs: r.wall,
 		})
 	}
-}
-
-// emitRunStart and emitRunEnd mirror the serial engines' run framing;
-// both are nil-safe so the disabled path never builds an event.
-func emitRunStart(probe telemetry.Probe, engine string, items int64, threshold float32) {
-	if probe == nil {
-		return
-	}
-	probe.Emit(telemetry.Event{
-		Kind:      telemetry.KindRunStart,
-		Engine:    engine,
-		Items:     items,
-		Threshold: threshold,
-	})
-}
-
-func emitRunEnd(probe telemetry.Probe, engine string, res *bp.Result) {
-	if probe == nil {
-		return
-	}
-	probe.Emit(telemetry.Event{
-		Kind:      telemetry.KindRunEnd,
-		Engine:    engine,
-		Iter:      int32(res.Iterations),
-		Delta:     res.FinalDelta,
-		Converged: res.Converged,
-		Updated:   res.Ops.NodesProcessed,
-		Edges:     res.Ops.EdgesProcessed,
-		FastPath:  res.Ops.KernelFastPath,
-		Rescales:  res.Ops.RescaleOps,
-	})
 }

@@ -23,11 +23,14 @@
 // reintroduces the serialization the MultiQueue removed — every node
 // carries an epoch counter: a push bumps the epoch, and a popped entry
 // whose recorded epoch is no longer current is dropped as stale
-// (Ops.StaleDrops). A popped current entry recomputes its node's true
-// residual against the live beliefs; if that has already fallen below
-// the threshold the pop was wasted work (Ops.WastedUpdates), the price
-// of ordering by estimate rather than recomputing every successor's
-// residual eagerly as the sequential engine does.
+// (Ops.StaleDrops), both at the pop and again under the node's writer
+// lock before the store, so a candidate computed while a newer push
+// arrived never overwrites the newer entry's update. A popped current
+// entry recomputes its node's true residual against the live beliefs;
+// if that has already fallen below the threshold the pop was wasted
+// work (Ops.WastedUpdates), the price of ordering by estimate rather
+// than recomputing every successor's residual eagerly as the sequential
+// engine does.
 //
 // Beliefs are shared mutably across workers, so every element is read
 // and written through atomic float32 bits, and a per-node spinlock
@@ -135,7 +138,7 @@ func Run(g *graph.Graph, opts Options) bp.Result {
 // as stale.
 func RunFrom(g *graph.Graph, opts Options, seeds []int32) bp.Result {
 	opts = opts.withDefaults()
-	defer opts.Options.Trace.Span(engineName).End()
+	bp.EmitRunStart(opts.Probe, engineName, int64(g.NumNodes), opts.Threshold)
 	s := g.States
 	workers := opts.Workers
 	gatherLines := int64((s*4 + 63) / 64)
@@ -173,21 +176,11 @@ func RunFrom(g *graph.Graph, opts Options, seeds []int32) bp.Result {
 	var staleDrops, wastedUpdates, contention atomic.Int64
 
 	probe := opts.Probe
-	ctx, endTask := telemetry.BeginRun(engineName)
-	if probe != nil {
-		probe.Emit(telemetry.Event{
-			Kind:      telemetry.KindRunStart,
-			Engine:    engineName,
-			Items:     int64(g.NumNodes),
-			Threshold: opts.Threshold,
-		})
-	}
 	batch := int64(g.NumNodes)
 
 	// Initial population, serial and seed-deterministic: every
 	// unobserved node with inputs enters at the maximum residual so its
 	// first pop computes its true one.
-	endSeed := telemetry.StartRegion(ctx, "seed")
 	initRng := rand.New(rand.NewSource(opts.Seed))
 	seedOne := func(v int32) {
 		if v < 0 || int(v) >= g.NumNodes || g.Observed[v] || g.InDegree(v) == 0 {
@@ -207,7 +200,6 @@ func RunFrom(g *graph.Graph, opts Options, seeds []int32) bp.Result {
 			seedOne(v)
 		}
 	}
-	endSeed()
 
 	workerOps := make([]bp.OpCounts, workers)
 	lastApplied := make([]float32, workers) // residual of the worker's last applied update
@@ -222,7 +214,6 @@ func RunFrom(g *graph.Graph, opts Options, seeds []int32) bp.Result {
 	team := poolbp.NewTeam(workers)
 	defer team.Close()
 
-	endSched := telemetry.StartRegion(ctx, "schedule")
 	team.Run(func(w int) {
 		ops := &workerOps[w]
 		ks := &kss[w]
@@ -285,6 +276,17 @@ func RunFrom(g *graph.Graph, opts Options, seeds []int32) bp.Result {
 			for !atomic.CompareAndSwapUint32(&writing[v], 0, 1) {
 				contention.Add(1)
 				runtime.Gosched()
+			}
+			if atomic.LoadUint32(&seq[v]) != e.seq {
+				// A push superseded the entry while its candidate was
+				// computed, and a worker holding the newer entry may
+				// already have stored a fresher belief. Storing this
+				// older candidate over it would lose that update, since
+				// the newer entry is consumed: drop it as stale instead.
+				atomic.StoreUint32(&writing[v], 0)
+				staleDrops.Add(1)
+				live.Add(-1)
+				continue
 			}
 			loadBelief(cur, v)
 			// The residual is the UNDAMPED pending move: damping scales
@@ -377,7 +379,6 @@ func RunFrom(g *graph.Graph, opts Options, seeds []int32) bp.Result {
 			live.Add(-1)
 		}
 	})
-	endSched()
 	res.Ops.SyncOps += int64(workers)
 
 	// Publish the final beliefs. The team barrier ordered all worker
@@ -414,22 +415,6 @@ func RunFrom(g *graph.Graph, opts Options, seeds []int32) bp.Result {
 		res.Iterations = 1
 	}
 	res.Ops.Iterations = int64(res.Iterations)
-	if probe != nil {
-		probe.Emit(telemetry.Event{
-			Kind:       telemetry.KindRunEnd,
-			Engine:     engineName,
-			Iter:       int32(res.Iterations),
-			Delta:      res.FinalDelta,
-			Converged:  res.Converged,
-			Updated:    res.Ops.NodesProcessed,
-			Edges:      res.Ops.EdgesProcessed,
-			StaleDrops: res.Ops.StaleDrops,
-			Wasted:     res.Ops.WastedUpdates,
-			Contention: res.Ops.QueueContention,
-			FastPath:   res.Ops.KernelFastPath,
-			Rescales:   res.Ops.RescaleOps,
-		})
-	}
-	endTask()
+	bp.EmitRunEnd(probe, engineName, &res)
 	return res
 }

@@ -84,6 +84,31 @@ func TestFixpointMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestNoLostUpdates is the regression test for a lost update: a worker
+// whose candidate was computed for an entry that a newer push superseded
+// must not store it over the belief the newer entry already applied.
+// A lost update leaves its node off its fixpoint with nothing queued to
+// revisit it, so a sequential residual run seeded with every node still
+// finds updates to apply. On this graph about 2% of 4-worker runs lost
+// one, so 200 seeds catch it almost every time.
+func TestNoLostUpdates(t *testing.T) {
+	g0, err := gen.PowerLaw(1000, 4000, gen.Config{Seed: 5, States: 2, Shared: true, Keep: 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 200; seed++ {
+		g := g0.Clone()
+		res := Run(g, Options{Workers: 4, Seed: seed})
+		if !res.Converged {
+			t.Fatalf("seed %d: did not converge", seed)
+		}
+		checkAccounting(t, res)
+		if again := bp.RunResidualFrom(g, bp.Options{}, nil); again.Ops.NodesProcessed != 0 {
+			t.Errorf("seed %d: %d residual updates still pending at the relaxed fixpoint", seed, again.Ops.NodesProcessed)
+		}
+	}
+}
+
 // TestFewerUpdatesThanSweeps locks the point of residual scheduling: on a
 // loopy graph the relaxed engine applies several times fewer belief
 // updates than the synchronous sweep oracle needs.

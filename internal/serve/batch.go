@@ -44,9 +44,7 @@ func (s *Server) QueryBatched(r *Resident, rqs []*ResolvedQuery) ([]*Response, e
 	}
 	start := time.Now()
 
-	opts := s.cfg.Options
-	opts.Probe = s.cfg.Probe
-	eng := core.Engine{Selector: s.cfg.Selector, Options: opts}
+	eng := core.Engine{Selector: s.cfg.Selector, Options: s.cfg.Options}
 	if eng.PoolWorkers <= 0 {
 		eng.PoolWorkers = s.cfg.Workers
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"credo/internal/bp"
 	"credo/internal/telemetry"
 )
 
@@ -33,7 +34,7 @@ func batchDocs(n int) []string {
 // The flush also counts once, at its occupancy, on the batch counters.
 func TestQueryBatchedMatchesSolo(t *testing.T) {
 	m := &telemetry.Metrics{}
-	s, r := newGridServer(t, Config{Probe: m})
+	s, r := newGridServer(t, Config{Options: bp.Options{Probe: m}})
 	docs := batchDocs(6)
 	rqs := make([]*ResolvedQuery, len(docs))
 	for i, d := range docs {

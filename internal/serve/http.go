@@ -260,8 +260,8 @@ func (s *Server) resident(req *http.Request) (*Resident, bool) {
 }
 
 func (s *Server) emit(e telemetry.Event) {
-	if s.cfg.Probe != nil {
-		s.cfg.Probe.Emit(e)
+	if p := s.cfg.Options.Probe; p != nil {
+		p.Emit(e)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"credo/internal/bp"
 	"credo/internal/telemetry"
 )
 
@@ -19,7 +20,7 @@ import (
 func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *telemetry.Metrics) {
 	t.Helper()
 	m := &telemetry.Metrics{}
-	cfg.Probe = m
+	cfg.Options.Probe = m
 	s, _ := newGridServer(t, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -122,6 +123,29 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOptionsProbeSeesEngineAndServeEvents: the probe set in
+// Config.Options is the server's one probe, so it receives the engine's
+// own run events as well as the serving layer's query event.
+func TestOptionsProbeSeesEngineAndServeEvents(t *testing.T) {
+	rec := telemetry.NewRecorder(0)
+	s, _ := newGridServer(t, Config{Options: bp.Options{Probe: rec}})
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	hr, body := postJSON(t, ts.URL+"/v1/query?engine=node", `{"evidence":[{"node":"0","state":1}]}`)
+	if hr.StatusCode != http.StatusOK {
+		t.Fatalf("query = %d: %s", hr.StatusCode, body)
+	}
+	var runEnd, query bool
+	for _, e := range rec.Events() {
+		runEnd = runEnd || (e.Kind == telemetry.KindRunEnd && e.Engine == "bp.node")
+		query = query || (e.Kind == telemetry.KindServe && e.Engine == "serve.query")
+	}
+	if !runEnd || !query {
+		t.Errorf("Options.Probe saw bp.node run_end=%v, serve.query=%v; want both", runEnd, query)
+	}
+}
+
 func TestHTTPErrorPaths(t *testing.T) {
 	_, ts, _ := newHTTPServer(t, Config{})
 	cases := []struct {
@@ -161,7 +185,7 @@ func TestHTTPErrorPaths(t *testing.T) {
 
 func TestHTTPLoadEndpointSprinkler(t *testing.T) {
 	m := &telemetry.Metrics{}
-	s := New(Config{MRF: true, Probe: m})
+	s := New(Config{MRF: true, Options: bp.Options{Probe: m}})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 

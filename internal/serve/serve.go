@@ -28,8 +28,10 @@
 //     slots plus a waiting line) sheds load with 429 + Retry-After once
 //     the line fills, so a burst degrades into fast rejections instead of
 //     unbounded queueing. Every outcome is observable through the
-//     internal/telemetry probe (KindServe events, Prometheus counters on
-//     the ops sidecar).
+//     internal/telemetry probe set in Config.Options (KindServe events,
+//     Prometheus counters on the ops sidecar), the same probe every
+//     engine run reports to; a sampled request's trace joins the probe
+//     chain of its own run and derives the engine span from it.
 package serve
 
 import (
@@ -66,8 +68,13 @@ type Config struct {
 	Selector core.Selector
 
 	// Options is the propagation parameter template applied to every
-	// query run (threshold, iteration cap, kernel config). The probe is
-	// installed from Probe, not from here.
+	// query, batch and update run (threshold, iteration cap, kernel
+	// config). Its Probe receives both the engines' run telemetry and
+	// the serving layer's KindServe and ingest events; nil disables
+	// instrumentation. A sampled request's trace joins the probe chain
+	// of its own run only. Update and batched runs emit while holding
+	// the resident's lock, so Emit must not call back into the server
+	// on its own goroutine.
 	Options bp.Options
 
 	// Workers sizes the worker teams of the relax and pool engines when
@@ -87,12 +94,6 @@ type Config struct {
 	// RetryAfter is the hint returned with shed responses. Zero means
 	// one second.
 	RetryAfter time.Duration
-
-	// Probe receives both the engines' run telemetry and the serving
-	// layer's KindServe events. Nil disables instrumentation. Update and
-	// batched runs emit while holding the resident's lock, so Emit must
-	// not call back into the server on its own goroutine.
-	Probe telemetry.Probe
 
 	// Tracer, when non-nil, samples requests into request-scoped traces:
 	// the HTTP layer opens a trace per sampled query and every stage the
@@ -171,8 +172,8 @@ func (s *Server) load(name string, g *graph.Graph, wall time.Duration) (*Residen
 	s.mu.Lock()
 	s.graphs[name] = r
 	s.mu.Unlock()
-	if s.cfg.Probe != nil {
-		s.cfg.Probe.Emit(telemetry.Event{
+	if p := s.cfg.Options.Probe; p != nil {
+		p.Emit(telemetry.Event{
 			Kind:   telemetry.KindServe,
 			Engine: "serve.load",
 			Worker: -1,
@@ -208,7 +209,7 @@ func (s *Server) LoadFiles(name string, spec LoadSpec) (*Resident, error) {
 		g, err = xmlbif.ParseFile(spec.XMLBIF)
 	case spec.Nodes != "" && spec.Edges != "":
 		g, err = mtxbp.ReadParallel(spec.Nodes, spec.Edges,
-			mtxbp.ReadOptions{Workers: s.cfg.IngestWorkers, Probe: s.cfg.Probe})
+			mtxbp.ReadOptions{Workers: s.cfg.IngestWorkers, Probe: s.cfg.Options.Probe})
 	default:
 		return nil, fmt.Errorf("serve: load %s: need bif, xmlbif, or nodes+edges", name)
 	}

@@ -108,7 +108,7 @@ func TestWarmQueryTraceStagesWarm(t *testing.T) {
 func TestShedEventCarriesRetryAfterAndWaiting(t *testing.T) {
 	rec := &telemetry.Recorder{}
 	s, ts, _ := newHTTPServer(t, Config{MaxInFlight: 1, MaxQueue: 1, RetryAfter: 7 * time.Second})
-	s.cfg.Probe = rec
+	s.cfg.Options.Probe = rec
 
 	s.adm.slots <- struct{}{}
 	s.adm.waiting.Add(1)

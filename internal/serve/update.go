@@ -262,9 +262,7 @@ func (s *Server) UpdateResident(r *Resident, ru *ResolvedUpdate) (*UpdateRespons
 			copy(g.Belief(v), w.beliefs[int(v)*g.States:(int(v)+1)*g.States])
 		}
 	}
-	opts := s.cfg.Options
-	opts.Probe = s.cfg.Probe
-	res := bp.RunResidualFrom(g, opts, seeds)
+	res := bp.RunResidualFrom(g, s.cfg.Options, seeds)
 	resp.Converged = res.Converged
 	resp.Updates = res.Ops.NodesProcessed
 	if res.Converged {

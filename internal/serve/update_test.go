@@ -399,7 +399,7 @@ func TestQueryOverlappingUpdateAnswersWarm(t *testing.T) {
 		}()
 		time.Sleep(50 * time.Millisecond)
 	})
-	s, r = newGridServer(t, Config{Probe: probe})
+	s, r = newGridServer(t, Config{Options: bp.Options{Probe: probe}})
 	rq = decode(t, r, `{"evidence":[{"node":"136","state":1}]}`)
 	if _, err := s.QueryResident(r, EngineResidual, rq); err != nil {
 		t.Fatal(err)

@@ -114,9 +114,10 @@ func (s *Server) QueryResident(r *Resident, engine string, rq *ResolvedQuery) (*
 }
 
 // queryResident is QueryResident carrying the request's trace: staging,
-// the engine run (via Options.Trace plus the probe chain) and belief
-// extraction each record a span, and the run outcome sets the trace's
-// anomaly flags. A nil trace is free.
+// the engine run (the trace joins the run's probe chain, which opens
+// and closes the engine's span) and belief extraction each record a
+// span, and the run outcome sets the trace's anomaly flags. A nil trace
+// is free.
 func (s *Server) queryResident(r *Resident, engine string, rq *ResolvedQuery, tr *telemetry.Trace) (*Response, error) {
 	engine, err := ParseEngine(engine)
 	if err != nil {
@@ -138,9 +139,7 @@ func (s *Server) queryResident(r *Resident, engine string, rq *ResolvedQuery, tr
 	}
 
 	opts := s.cfg.Options
-	opts.Probe = s.cfg.Probe
 	if tr != nil {
-		opts.Trace = tr
 		opts.Probe = telemetry.Multi(opts.Probe, tr)
 	}
 

@@ -6,6 +6,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"runtime/trace"
 	"sync"
 	"testing"
 
@@ -29,21 +30,21 @@ func testGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-// TestEveryEngineEmitsFramedEvents locks the cross-engine event
-// contract: each of the twelve entry points opens with run_start,
-// closes with run_end, reports at least one iteration boundary, and —
-// for the engines whose boundaries carry per-boundary increments that
-// cover the whole run — the increments sum to the run_end total.
-func TestEveryEngineEmitsFramedEvents(t *testing.T) {
+// entryPoint is one engine entry point run with a given probe.
+type entryPoint struct {
+	engine     string
+	sumUpdates bool // iteration Updated increments sum to the run_end total
+	run        func(p telemetry.Probe, g *graph.Graph) bp.Result
+}
+
+// entryPoints lists the twelve engine entry points, each reporting only
+// through the probe it is handed.
+func entryPoints(t *testing.T) []entryPoint {
 	opts := func(p telemetry.Probe) bp.Options {
 		return bp.Options{WorkQueue: true, Probe: p}
 	}
 	pascal := gpusim.Pascal()
-	cases := []struct {
-		engine     string
-		sumUpdates bool // iteration Updated increments sum to the run_end total
-		run        func(p telemetry.Probe, g *graph.Graph) bp.Result
-	}{
+	return []entryPoint{
 		{"bp.node", true, func(p telemetry.Probe, g *graph.Graph) bp.Result {
 			return bp.RunNode(g, opts(p))
 		}},
@@ -89,8 +90,15 @@ func TestEveryEngineEmitsFramedEvents(t *testing.T) {
 			return res.Result
 		}},
 	}
+}
 
-	for _, c := range cases {
+// TestEveryEngineEmitsFramedEvents locks the cross-engine event
+// contract: each of the twelve entry points opens with run_start,
+// closes with run_end, reports at least one iteration boundary, and —
+// for the engines whose boundaries carry per-boundary increments that
+// cover the whole run — the increments sum to the run_end total.
+func TestEveryEngineEmitsFramedEvents(t *testing.T) {
+	for _, c := range entryPoints(t) {
 		t.Run(c.engine, func(t *testing.T) {
 			rec := telemetry.NewRecorder(0)
 			res := c.run(rec, testGraph(t))
@@ -130,6 +138,67 @@ func TestEveryEngineEmitsFramedEvents(t *testing.T) {
 				t.Errorf("iteration Updated increments sum to %d, run total is %d", sum, res.Ops.NodesProcessed)
 			}
 		})
+	}
+}
+
+// TestEveryEngineSpanFromProbe: a request trace attached only as the
+// run's probe derives the engine's span from run_start/run_end, so every
+// entry point shows up as exactly one span named after it, closed when
+// the run ends rather than when the trace finishes.
+func TestEveryEngineSpanFromProbe(t *testing.T) {
+	for _, c := range entryPoints(t) {
+		t.Run(c.engine, func(t *testing.T) {
+			tc := telemetry.NewTracer(1)
+			tc.SlowNs = 0 // capture every trace
+			tc.Flight = telemetry.NewFlightRecorder(1)
+			tr := tc.Start("query")
+			c.run(tr, testGraph(t))
+			tr.Finish()
+
+			recs := tc.Flight.Records()
+			if len(recs) != 1 {
+				t.Fatalf("captured %d flight records, want 1", len(recs))
+			}
+			rec := recs[0]
+			if len(rec.Spans) != 1 || rec.Spans[0].Name != c.engine {
+				t.Fatalf("spans = %+v, want exactly one span %q", rec.Spans, c.engine)
+			}
+			if sp := rec.Spans[0]; sp.Parent != -1 || sp.EndNs >= rec.WallNs {
+				t.Errorf("span %+v: want a root span closed before the trace end at %d ns", sp, rec.WallNs)
+			}
+		})
+	}
+}
+
+// TestExecTraceLogsEngineEvents runs an engine under the Go execution
+// tracer with ExecTrace as its probe: the trace must carry the engine's
+// name and its run_end event.
+func TestExecTraceLogsEngineEvents(t *testing.T) {
+	var buf bytes.Buffer
+	if err := trace.Start(&buf); err != nil {
+		t.Skipf("execution tracer already running: %v", err)
+	}
+	bp.RunNode(testGraph(t), bp.Options{WorkQueue: true, Probe: telemetry.ExecTrace{}})
+	trace.Stop()
+	for _, want := range []string{"bp.node", "run_end"} {
+		if !bytes.Contains(buf.Bytes(), []byte(want)) {
+			t.Errorf("execution trace (%d bytes) does not contain %q", buf.Len(), want)
+		}
+	}
+}
+
+// TestExecTraceAllocFree: with the execution tracer off, the sink costs
+// one check and no allocation.
+func TestExecTraceAllocFree(t *testing.T) {
+	if trace.IsEnabled() {
+		t.Skip("execution tracer is running")
+	}
+	var p telemetry.Probe = telemetry.ExecTrace{}
+	allocs := testing.AllocsPerRun(100, func() {
+		p.Emit(telemetry.Event{Kind: telemetry.KindIteration, Engine: "bp.node", Iter: 1})
+	})
+	if allocs != 0 {
+		t.Errorf("ExecTrace.Emit with the tracer off: %.1f allocs, want 0", allocs)
 	}
 }
 

@@ -9,13 +9,14 @@ import (
 
 // Request-scoped tracing. A Tracer hands out pooled Traces — one per
 // sampled serving request — and every layer the request crosses opens a
-// Span on it: admission wait, decode, warm-vs-cold staging,
-// the engine run (the engines open their own span through
-// bp.Options.Trace) and belief extraction. Engine probe events mirror
-// into the trace as a bounded convergence trajectory, so a finished
-// trace holds both *where the wall time went* (the span tree) and *what
-// convergence did meanwhile* (the residual series) — exactly the two
-// series the scheduling literature reads together.
+// Span on it: admission wait, decode, warm-vs-cold staging, the engine
+// run and belief extraction. A Trace is itself a Probe: attached to the
+// run's probe chain it opens the engine's span at run_start, closes it
+// at run_end and mirrors the iteration events into a bounded
+// convergence trajectory, so a finished trace holds both *where the
+// wall time went* (the span tree) and *what convergence did meanwhile*
+// (the residual series) — exactly the two series the scheduling
+// literature reads together.
 //
 // The layer keeps the package's founding contract: observability is
 // free when it is off. A nil *Tracer returns a nil *Trace, every Trace
@@ -172,6 +173,7 @@ type Trace struct {
 	lostSpans  int32
 	lostPoints int32
 	flags      traceFlag
+	run        Span // the engine run span open between run_start and run_end
 	engine     string
 	variant    string
 	warm       bool
@@ -254,15 +256,21 @@ func (t *Trace) mark(f traceFlag) {
 	t.mu.Unlock()
 }
 
-// Emit implements Probe: engine iteration events append to the bounded
-// convergence trajectory and a run end records the outcome, so the
-// existing per-iteration probe contract doubles as span annotation with
-// no engine changes beyond attaching the trace to the probe chain.
+// Emit implements Probe, so the engines' one event path also builds the
+// trace: a run start opens a root span named after the engine, a run
+// end closes it and records the outcome, and iteration events append to
+// the bounded convergence trajectory. A run end with no open run span
+// only records the outcome.
 func (t *Trace) Emit(e Event) {
 	if t == nil {
 		return
 	}
 	switch e.Kind {
+	case KindRunStart:
+		sp := t.Span(e.Engine)
+		t.mu.Lock()
+		t.run = sp
+		t.mu.Unlock()
 	case KindIteration:
 		now := time.Since(t.start).Nanoseconds()
 		t.mu.Lock()
@@ -280,7 +288,12 @@ func (t *Trace) Emit(e Event) {
 		}
 		t.mu.Unlock()
 	case KindRunEnd:
+		now := time.Since(t.start).Nanoseconds()
 		t.mu.Lock()
+		if t.run.t != nil {
+			t.spans[t.run.idx].endNs = now
+			t.run = Span{}
+		}
 		t.endIter, t.endDelta = e.Iter, e.Delta
 		if !e.Converged {
 			t.flags |= flagNonConverged
@@ -372,6 +385,7 @@ func (t *Trace) reset() {
 	t.points = t.points[:0]
 	t.lostSpans, t.lostPoints = 0, 0
 	t.flags = 0
+	t.run = Span{}
 	t.engine, t.variant = "", ""
 	t.warm = false
 	t.endIter, t.endDelta = 0, 0

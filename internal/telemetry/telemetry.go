@@ -1,10 +1,13 @@
 // Package telemetry is the engine-agnostic instrumentation layer: every
 // engine reports per-iteration convergence state, work rates and
-// scheduler health through the Probe interface, and pluggable sinks turn
-// that stream into whatever the operator needs — an in-memory ring for
-// post-run reports, a JSONL event stream for offline analysis, a
-// Prometheus-style text exposition with expvar and pprof for live
-// serving, and terminal sparkline reports rendered through internal/viz.
+// scheduler health through the Probe interface, its only event path,
+// and pluggable sinks turn that stream into whatever the operator needs
+// — an in-memory ring for post-run reports, a JSONL event stream for
+// offline analysis, a Prometheus-style text exposition with expvar and
+// pprof for live serving, terminal sparkline reports rendered through
+// internal/viz, request-scoped span traces (Trace, which derives each
+// engine's run span from its run_start/run_end events) and Go
+// execution-tracer annotations (ExecTrace).
 //
 // The layer is built around one contract: observability is free when it
 // is off. Options.Probe is a nil interface by default; every engine

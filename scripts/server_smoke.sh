@@ -132,6 +132,9 @@ echo "$METRICS" | grep -q '^credo_serve_latency_seconds_bucket{'
 [ "$(echo "$METRICS" | awk '/^credo_serve_latency_seconds_count\{/ {sum += $NF} END {print sum+0}')" = 3 ]
 echo "$METRICS" | grep -q 'credo_serve_latency_quantile_seconds{.*q="0.99"}'
 echo "$METRICS" | grep -q '^credo_serve_stage_seconds_bucket{stage="decode"'
+# The engine's own stage: the residual run span that the request trace
+# derives from the engine's run_start/run_end probe events.
+echo "$METRICS" | grep -q '^credo_serve_stage_seconds_bucket{stage="bp.residual"'
 curl -fsS "http://$OPS/debug/vars" \
   | jq -e '.["credo.telemetry"]
       | .serve_latency_count == 3
@@ -145,14 +148,17 @@ echo "latency histograms OK"
 # four traces were captured with their span trees — the cold query,
 # both warm queries, and the bad-evidence request (its trace ends at
 # the decode error; the engine=bogus request fails before a trace
-# starts, and the update path is untraced). The dump is kept as a CI
-# artifact.
+# starts, and the update path is untraced). Each warm query's trace
+# holds the residual engine's run span, derived from its probe events.
+# The dump is kept as a CI artifact.
 curl -fsS "http://$OPS/debug/flight" >"$FLIGHT"
 jq -e '.captured == 4
     and (.records | length) == 4
     and all(.records[]; .reasons | index("slow") != null)
     and all(.records[]; (.spans | length) > 0)
     and any(.records[].spans[]; .name == "decode")
+    and ([.records[] | select(.warm)] | length) == 2
+    and all(.records[] | select(.warm); any(.spans[]; .name == "bp.residual"))
     and all(.records[].spans[]; .end_ns >= .start_ns)' "$FLIGHT" >/dev/null
 echo "flight recorder OK"
 
