@@ -8,8 +8,7 @@ import (
 	"credo/internal/kernel"
 )
 
-// allocGraph builds a 200-node synthetic graph (node ids stay below 256 so
-// even interface boxing in container/heap is allocation-free).
+// allocGraph builds a 200-node synthetic graph.
 func allocGraph(t testing.TB, states int, shared bool) *graph.Graph {
 	t.Helper()
 	g, err := gen.Synthetic(200, 800, gen.Config{Seed: 5, States: states, Shared: shared})
@@ -57,6 +56,37 @@ func TestEnginesAllocFree(t *testing.T) {
 								eng.name, states, mode, wq, damping, allocs)
 						}
 					}
+				}
+			}
+		}
+	}
+
+	// Cold residual starts at a size where node ids pass 255, so a queue
+	// that boxed ids into interfaces would allocate on most pushes and
+	// pops. ResetBeliefs inside the measured closure makes every run a
+	// true cold start; it allocates nothing itself.
+	cold := []struct {
+		name string
+		run  func(*graph.Graph, Options) Result
+	}{
+		{"RunResidual", RunResidual},
+		{"RunResidualFrom(nil)", func(g *graph.Graph, o Options) Result { return RunResidualFrom(g, o, nil) }},
+	}
+	for _, states := range []int{2, 5} {
+		g, err := gen.Synthetic(1000, 4000, gen.Config{Seed: 5, States: states, Shared: states == 2})
+		if err != nil {
+			t.Fatalf("Synthetic: %v", err)
+		}
+		for _, eng := range cold {
+			for _, damping := range []float32{0, 0.5} {
+				opts := Options{Damping: damping}
+				allocs := testing.AllocsPerRun(5, func() {
+					g.ResetBeliefs()
+					eng.run(g, opts)
+				})
+				if allocs != 0 {
+					t.Errorf("%s on %d nodes states=%d damping=%g: %.1f allocs/run, want 0",
+						eng.name, g.NumNodes, states, damping, allocs)
 				}
 			}
 		}

@@ -1,8 +1,6 @@
 package bp
 
 import (
-	"container/heap"
-
 	"credo/internal/graph"
 	"credo/internal/kernel"
 	"credo/internal/telemetry"
@@ -13,8 +11,17 @@ import (
 // reference [5], its strongest CPU-side related work). Instead of sweeping
 // iterations, a priority queue orders nodes by the residual of their
 // pending update (the L1 distance between the belief they would adopt and
-// the one they hold); the largest residual is always applied first, and
-// only its successors' residuals are refreshed.
+// the one they hold), and the largest is always popped first. It is a
+// cold start: RunResidualFrom with every node as a seed.
+//
+// Priorities are estimates, as in relaxbp and in Aksenov, Alistarh and
+// Korhonen's formulation: an applied update of residual r pushes each
+// unobserved successor at r (the sender's movement estimates how far the
+// receiver may move) without computing the successor's candidate. The pop
+// recomputes the candidate from live beliefs; one whose true residual is
+// at or below QueueThreshold applies nothing and counts in
+// Ops.WastedUpdates. A candidate is therefore computed only for a seed or
+// a pop, never for every successor of every update.
 //
 // On graphs where convergence is bottlenecked by a few regions, residual
 // scheduling applies far fewer updates than synchronous sweeps. Credo's
@@ -23,19 +30,18 @@ import (
 //
 // Result.Iterations reports applied updates divided by the node count
 // (sweep-equivalents, rounded up), so options and reports stay comparable
-// with the sweep engines.
+// with the sweep engines. The run converges when the queue empties; its
+// FinalDelta is then the largest residual a pop discarded, and the last
+// applied residual when MaxIterations capped the run.
 func RunResidual(g *graph.Graph, opts Options) Result {
-	sc := getScratch()
-	res := runResidual(g, opts, sc, nil)
-	sc.release()
-	return res
+	return RunResidualFrom(g, opts, nil)
 }
 
 // RunResidualFrom executes residual BP resuming from the graph's current
 // beliefs: instead of seeding every node, only the given seed nodes'
-// residuals are computed and enqueued, and the scheduling loop spreads
-// from there exactly as in a cold run (an applied update always
-// refreshes its successors). It is the warm-start entry point of the
+// candidates are computed, and a seed enters the queue only if its true
+// residual exceeds QueueThreshold. The scheduling loop then spreads from
+// there exactly as in a cold run. It is the warm-start entry point of the
 // serving layer: when the graph holds a converged fixpoint for a nearby
 // evidence set, passing the evidence-perturbed frontier (the changed
 // nodes plus their out-neighbours) re-converges with a fraction of a
@@ -48,19 +54,14 @@ func RunResidual(g *graph.Graph, opts Options) Result {
 // harmless.
 func RunResidualFrom(g *graph.Graph, opts Options, seeds []int32) Result {
 	sc := getScratch()
-	var res Result
-	if seeds == nil {
-		res = runResidual(g, opts, sc, nil)
-	} else {
-		res = runResidual(g, opts, sc, &seeds)
-	}
+	res := runResidual(g, opts, sc, seeds)
 	sc.release()
 	return res
 }
 
 // runResidual drives the residual schedule. seeds == nil seeds the full
-// node space (cold start); otherwise only *seeds enter the queue.
-func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds *[]int32) Result {
+// node space (cold start); otherwise only the listed nodes are seeded.
+func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds []int32) Result {
 	opts = opts.withDefaults(g.NumNodes)
 	EmitRunStart(opts.Probe, engResidual, int64(g.NumNodes), opts.Threshold)
 	s := g.States
@@ -79,12 +80,11 @@ func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds *[]int32) R
 			return
 		}
 		residualCandidate(g, &k, sc, &res, v, cand)
-		r := graph.L1Diff(cand, g.Belief(v))
-		// Nodes already within the element threshold are converged: they
-		// would only ever be popped to be discarded, so they stay out of
-		// the queue until a parent's change promotes them.
-		if r > opts.QueueThreshold {
-			pq.update(v, r)
+		// A seed already within the element threshold is converged: it
+		// stays out of the queue until a parent's change pushes it, so a
+		// no-op perturbation schedules nothing.
+		if r := graph.L1Diff(cand, g.Belief(v)); r > opts.QueueThreshold {
+			pq.raise(v, r)
 			res.Ops.QueuePushes++
 		}
 	}
@@ -92,67 +92,56 @@ func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds *[]int32) R
 		for v := int32(0); v < int32(g.NumNodes); v++ {
 			seedOne(v)
 		}
-	} else {
-		for _, v := range *seeds {
-			seedOne(v)
-		}
+	}
+	for _, v := range seeds {
+		seedOne(v)
 	}
 
 	batch := int64(g.NumNodes)
 	var lastNodes, lastEdges int64
 	maxUpdates := int64(opts.MaxIterations) * int64(g.NumNodes)
 	var updates int64
+	var lastApplied, maxDiscarded float32
 	for updates < maxUpdates && pq.Len() > 0 {
-		v, r := pq.popMax()
-		if r <= opts.QueueThreshold {
-			// Every pending residual is below the element threshold.
-			res.Converged = true
-			break
-		}
-		// Apply the update.
+		v := pq.popMax()
 		residualCandidate(g, &k, sc, &res, v, cand)
 		b := g.Belief(v)
 		applied := graph.L1Diff(cand, b)
+		if applied <= opts.QueueThreshold {
+			// The estimate that scheduled this pop overstated the node's
+			// movement: it is already converged, nothing to apply.
+			res.Ops.WastedUpdates++
+			maxDiscarded = max(maxDiscarded, applied)
+			continue
+		}
 		copy(b, cand)
 		res.Ops.NodesProcessed++
 		res.Ops.MemStores += int64(s)
 		updates++
+		lastApplied = applied
 
 		// A damped candidate moves the belief only (1−d) of the way to the
 		// recombination, so with unchanged parents the node's next residual
 		// is exactly d·applied — the node must re-enter the queue at that
 		// estimate or it is stranded d·gap short of the fixpoint whenever
-		// its neighbours stay sub-threshold (a cold start hides this behind
-		// constant neighbour refreshes; a warm start with one large local
-		// perturbation does not). The estimate only orders work: the pop
-		// recomputes the candidate from live state, and sub-threshold
-		// estimates stay out of the queue, preserving the no-re-enqueue
-		// discipline for converged nodes.
+		// its neighbours stay sub-threshold. Sub-threshold remainders stay
+		// out of the queue.
 		if d := opts.Damping; d > 0 {
 			if nr := d * applied; nr > opts.QueueThreshold {
-				pq.update(v, nr)
+				pq.raise(v, nr)
 				res.Ops.QueuePushes++
 			}
 		}
 
-		// Refresh the residuals of the successors only. A successor whose
-		// refreshed residual sits at or below the element threshold is
-		// converged: it leaves the queue (or never enters it) instead of
-		// being re-heapified only to be popped and discarded later.
+		// Push every unobserved successor at the applied residual: the
+		// sender's movement is the estimate of how far the receiver may
+		// move, and the receiver's pop recomputes the truth.
 		lo, hi := g.OutOffsets[v], g.OutOffsets[v+1]
 		for _, e := range g.OutEdges[lo:hi] {
-			dst := g.EdgeDst[e]
-			if g.Observed[dst] {
-				continue
+			if dst := g.EdgeDst[e]; !g.Observed[dst] {
+				pq.raise(dst, applied)
+				res.Ops.QueuePushes++
 			}
-			residualCandidate(g, &k, sc, &res, dst, cand)
-			nr := graph.L1Diff(cand, g.Belief(dst))
-			if nr <= opts.QueueThreshold {
-				pq.remove(dst)
-				continue
-			}
-			pq.update(dst, nr)
-			res.Ops.QueuePushes++
 		}
 
 		// Sweep-equivalent batch boundary: one batch is NumNodes applied
@@ -167,21 +156,20 @@ func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds *[]int32) R
 				Edges:    res.Ops.EdgesProcessed - lastEdges,
 				Active:   int64(pq.Len()),
 				Items:    int64(g.NumNodes),
+				Wasted:   res.Ops.WastedUpdates,
 				FastPath: sc.ks.Counters.FastPath,
 				Rescales: sc.ks.Counters.Rescales,
 			})
 			lastNodes, lastEdges = res.Ops.NodesProcessed, res.Ops.EdgesProcessed
 		}
 	}
-	if pq.Len() == 0 {
-		res.Converged = true
+	res.Converged = pq.Len() == 0
+	res.FinalDelta = lastApplied
+	if res.Converged {
+		res.FinalDelta = maxDiscarded
 	}
 	res.Iterations = int((updates + int64(g.NumNodes) - 1) / int64(g.NumNodes))
-	if res.Iterations == 0 && updates > 0 {
-		res.Iterations = 1
-	}
 	res.Ops.Iterations = int64(res.Iterations)
-	res.FinalDelta = pq.maxResidual()
 	res.Ops.addKernelCounters(sc.ks.Counters)
 	EmitRunEnd(probe, engResidual, &res)
 	return res
@@ -199,18 +187,13 @@ func residualCandidate(g *graph.Graph, k *kernel.Kernel, sc *runScratch, res *Re
 	res.Ops.MemLoads += deg * int64(s)
 }
 
-// residualQueue is an indexed max-heap of node residuals supporting
-// decrease/increase-key by node id.
+// residualQueue is an indexed max-heap of residual estimates. A node's
+// queued value can only rise (raise), never fall: a pop recomputes the
+// node's true residual, so an estimate never needs lowering.
 type residualQueue struct {
 	nodes []int32   // heap order
 	pos   []int32   // node -> heap index, -1 when absent
-	val   []float32 // node -> residual
-}
-
-func newResidualQueue(n int) *residualQueue {
-	pq := &residualQueue{}
-	pq.reset(n)
-	return pq
+	val   []float32 // node -> queued estimate
 }
 
 // reset prepares the queue for n nodes in O(touched), reusing its buffers
@@ -218,7 +201,7 @@ func newResidualQueue(n int) *residualQueue {
 // for every node outside the heap, so only the entries the previous run
 // left queued (an iteration-capped run stops with a non-empty heap) need
 // clearing, and the arrays are filled only when they grow. val needs no
-// reset: it is read only for queued nodes, and update writes it before a
+// reset: it is read only for queued nodes, and raise writes it before a
 // node enters the heap.
 func (pq *residualQueue) reset(n int) {
 	for _, v := range pq.nodes {
@@ -234,60 +217,66 @@ func (pq *residualQueue) reset(n int) {
 	}
 }
 
-// Len implements heap.Interface.
+// Len reports the number of queued nodes.
 func (pq *residualQueue) Len() int { return len(pq.nodes) }
 
-// Less implements heap.Interface (max-heap on residual).
-func (pq *residualQueue) Less(i, j int) bool { return pq.val[pq.nodes[i]] > pq.val[pq.nodes[j]] }
-
-// Swap implements heap.Interface.
-func (pq *residualQueue) Swap(i, j int) {
-	pq.nodes[i], pq.nodes[j] = pq.nodes[j], pq.nodes[i]
-	pq.pos[pq.nodes[i]] = int32(i)
-	pq.pos[pq.nodes[j]] = int32(j)
-}
-
-// Push implements heap.Interface.
-func (pq *residualQueue) Push(x any) {
-	v := x.(int32)
-	pq.pos[v] = int32(len(pq.nodes))
-	pq.nodes = append(pq.nodes, v)
-}
-
-// Pop implements heap.Interface.
-func (pq *residualQueue) Pop() any {
-	v := pq.nodes[len(pq.nodes)-1]
-	pq.nodes = pq.nodes[:len(pq.nodes)-1]
-	pq.pos[v] = -1
-	return v
-}
-
-// update sets node v's residual, inserting or re-heapifying as needed.
-func (pq *residualQueue) update(v int32, r float32) {
+// raise queues v at estimate r, or lifts its queued estimate to r when r
+// is larger; a smaller r leaves a queued node unchanged.
+func (pq *residualQueue) raise(v int32, r float32) {
+	i := pq.pos[v]
+	if i < 0 {
+		i = int32(len(pq.nodes))
+		pq.nodes = append(pq.nodes, v)
+	} else if r <= pq.val[v] {
+		return
+	}
 	pq.val[v] = r
-	if pq.pos[v] < 0 {
-		heap.Push(pq, v)
-		return
+	// Sift up: move the hole toward the root past every smaller parent.
+	for i > 0 {
+		p := (i - 1) / 2
+		u := pq.nodes[p]
+		if pq.val[u] >= r {
+			break
+		}
+		pq.nodes[i], pq.pos[u] = u, i
+		i = p
 	}
-	heap.Fix(pq, int(pq.pos[v]))
+	pq.nodes[i], pq.pos[v] = v, i
 }
 
-// remove drops node v from the queue if present; converged nodes leave
-// the heap instead of lingering until a discarding pop.
-func (pq *residualQueue) remove(v int32) {
-	if pq.pos[v] < 0 {
-		return
+// popMax removes and returns the node with the largest estimate.
+func (pq *residualQueue) popMax() int32 {
+	top := pq.nodes[0]
+	pq.pos[top] = -1
+	n := int32(len(pq.nodes) - 1)
+	v := pq.nodes[n]
+	pq.nodes = pq.nodes[:n]
+	if n == 0 {
+		return top
 	}
-	heap.Remove(pq, int(pq.pos[v]))
+	// Sift the former last entry down from the root: move the hole toward
+	// the leaves past every larger child.
+	r, i := pq.val[v], int32(0)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && pq.val[pq.nodes[c+1]] > pq.val[pq.nodes[c]] {
+			c++
+		}
+		u := pq.nodes[c]
+		if pq.val[u] <= r {
+			break
+		}
+		pq.nodes[i], pq.pos[u] = u, i
+		i = c
+	}
+	pq.nodes[i], pq.pos[v] = v, i
+	return top
 }
 
-// popMax removes and returns the node with the largest residual.
-func (pq *residualQueue) popMax() (int32, float32) {
-	v := heap.Pop(pq).(int32)
-	return v, pq.val[v]
-}
-
-// maxResidual peeks at the largest pending residual.
+// maxResidual peeks at the largest queued estimate.
 func (pq *residualQueue) maxResidual() float32 {
 	if len(pq.nodes) == 0 {
 		return 0

@@ -9,13 +9,13 @@ import (
 
 // TestResidualSprinklerUpdateCounts locks the exact, deterministic work
 // profile of the sequential residual engine on the sprinkler network as
-// an MRF. It is the regression test for the converged-successor bug: the
-// successor-refresh loop used to re-enqueue every successor even when its
-// refreshed residual was already at or below the element threshold, so
-// converged nodes sat in the queue only to be popped and discarded
-// (QueuePushes was 46 on this network; the applied-update counts below
-// were unchanged by the fix, which is the point — only queue traffic
-// shrinks).
+// an MRF. The profile is the estimate discipline's: successors are pushed
+// at the sender's applied residual and only seeds and pops compute
+// candidates, so edge folds count seeds and pops (62), pushes count the
+// seeds and every successor of every applied update (46), and pops whose
+// recomputed residual is already converged apply nothing (6 wasted). The
+// converged-successor bug this test once guarded lived in the eager
+// successor refresh, which is deleted.
 func TestResidualSprinklerUpdateCounts(t *testing.T) {
 	g, err := bif.ParseFile("../bif/testdata/sprinkler.bif")
 	if err != nil {
@@ -40,11 +40,13 @@ func TestResidualSprinklerUpdateCounts(t *testing.T) {
 		nodesProcessed int64
 		edgesProcessed int64
 		queuePushes    int64
+		wastedUpdates  int64
 	}{
 		iterations:     6,
 		nodesProcessed: 21,
-		edgesProcessed: 134,
-		queuePushes:    38,
+		edgesProcessed: 62,
+		queuePushes:    46,
+		wastedUpdates:  6,
 	}
 	if res.Iterations != want.iterations {
 		t.Errorf("Iterations = %d, want %d", res.Iterations, want.iterations)
@@ -58,7 +60,10 @@ func TestResidualSprinklerUpdateCounts(t *testing.T) {
 	if res.Ops.QueuePushes != want.queuePushes {
 		t.Errorf("QueuePushes = %d, want %d", res.Ops.QueuePushes, want.queuePushes)
 	}
-	// The fix must not move the fixpoint.
+	if res.Ops.WastedUpdates != want.wastedUpdates {
+		t.Errorf("WastedUpdates = %d, want %d", res.Ops.WastedUpdates, want.wastedUpdates)
+	}
+	// The schedule must not move the fixpoint.
 	for v := int32(0); v < int32(g.NumNodes); v++ {
 		if d := graph.L1Diff(g.Belief(v), oracle.Belief(v)); d > 2e-2 {
 			t.Errorf("node %d diverges from the sweep oracle by %g", v, d)

@@ -2,6 +2,7 @@ package bp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"credo/internal/gen"
@@ -105,18 +106,67 @@ func TestResidualUpdateCap(t *testing.T) {
 	}
 }
 
+// TestResidualComputesCandidatesOnlyForSeedsAndPops pins the estimate
+// discipline rather than a count: on a ring every node has in-degree 2,
+// so a cold run that computes a candidate only for each seed and each pop
+// folds exactly twice as many edges as it has seeds and pops. An engine
+// that recomputed successors' residuals after every update would fold
+// more. Every pop was pushed, so pushes bound pops from above.
+func TestResidualComputesCandidatesOnlyForSeedsAndPops(t *testing.T) {
+	const n = 64
+	b := graph.NewBuilder(2)
+	_ = b.SetShared(graph.DiagonalJointMatrix(2, 0.8))
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < n; i++ {
+		p := 0.1 + 0.8*rng.Float32()
+		_, _ = b.AddNode([]float32{p, 1 - p})
+	}
+	for i := int32(0); i < n; i++ {
+		_ = b.AddUndirected(i, (i+1)%n, nil)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = g.Observe(0, 0)
+	_ = g.Observe(n/2, 1)
+	const unobserved = n - 2
+
+	res := RunResidual(g, Options{})
+	if !res.Converged {
+		t.Fatalf("did not converge: %+v", res)
+	}
+	pops := res.Ops.NodesProcessed + res.Ops.WastedUpdates
+	if want := 2 * (unobserved + pops); res.Ops.EdgesProcessed != want {
+		t.Errorf("folded %d edges, want 2·(%d seeds + %d pops) = %d",
+			res.Ops.EdgesProcessed, unobserved, pops, want)
+	}
+	if res.Ops.QueuePushes < pops {
+		t.Errorf("%d pushes for %d pops", res.Ops.QueuePushes, pops)
+	}
+}
+
+// TestResidualQueueOrdering pins the raise-only queue: a lower estimate
+// leaves a queued node where it is, a higher one lifts it.
 func TestResidualQueueOrdering(t *testing.T) {
-	pq := newResidualQueue(5)
-	pq.update(0, 0.1)
-	pq.update(1, 0.9)
-	pq.update(2, 0.5)
-	pq.update(1, 0.05) // decrease key
-	pq.update(3, 0.7)
-	want := []int32{3, 2, 0, 1}
+	var pq residualQueue
+	pq.reset(5)
+	pq.raise(0, 0.1)
+	pq.raise(1, 0.9)
+	pq.raise(2, 0.5)
+	pq.raise(1, 0.05) // lower: unchanged
+	pq.raise(3, 0.7)
+	pq.raise(0, 0.8) // higher: lifted
+	want := []struct {
+		v int32
+		r float32
+	}{{1, 0.9}, {0, 0.8}, {3, 0.7}, {2, 0.5}}
 	for _, w := range want {
-		v, _ := pq.popMax()
-		if v != w {
-			t.Fatalf("pop order wrong: got %d, want %d", v, w)
+		if r := pq.maxResidual(); r != w.r {
+			t.Fatalf("top estimate = %v, want %v", r, w.r)
+		}
+		if v := pq.popMax(); v != w.v {
+			t.Fatalf("pop order wrong: got %d, want %d", v, w.v)
 		}
 	}
 	if pq.Len() != 0 {

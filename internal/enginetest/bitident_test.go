@@ -33,35 +33,42 @@ func beliefHash(g *graph.Graph) uint64 {
 // Circular BP) entered internal/kernel. Damping=0 / vanilla must keep
 // every engine bit-identical to these values: the variant branches are
 // required to be completely invisible on the fast path.
+//
+// The six residual rows were re-captured when the sequential residual
+// engine moved from eager successor refresh to estimate priorities: the
+// new schedule applies updates in a different order, so its final
+// beliefs differ within the convergence tolerance. They were captured
+// from the new schedule with the kernels unchanged, and specialized still
+// equals generic.
 var preVariantGoldens = map[string]uint64{
 	"synthetic-120x480-s3/node/specialized":       0x8620c6b3d6bef2da,
 	"synthetic-120x480-s3/edge/specialized":       0x8764185f66caaa31,
-	"synthetic-120x480-s3/residual/specialized":   0xfe1fcd98b174a6a7,
+	"synthetic-120x480-s3/residual/specialized":   0x26456315d9bd36ce,
 	"synthetic-120x480-s3/maxproduct/specialized": 0x08bbfede0d364928,
 	"synthetic-120x480-s3/pool4/specialized":      0x582b913274335c6c,
 	"synthetic-120x480-s3/node/generic":           0x8620c6b3d6bef2da,
 	"synthetic-120x480-s3/edge/generic":           0x8764185f66caaa31,
-	"synthetic-120x480-s3/residual/generic":       0xfe1fcd98b174a6a7,
+	"synthetic-120x480-s3/residual/generic":       0x26456315d9bd36ce,
 	"synthetic-120x480-s3/maxproduct/generic":     0x08bbfede0d364928,
 	"synthetic-120x480-s3/pool4/generic":          0x582b913274335c6c,
 	"synthetic-120x480-s3/node/logspace":          0x8f69afc53238087d,
 	"synthetic-120x480-s3/edge/logspace":          0x8764185f66caaa31,
-	"synthetic-120x480-s3/residual/logspace":      0xd657b4df3f5b6684,
+	"synthetic-120x480-s3/residual/logspace":      0x2457ec0de72cc4d1,
 	"synthetic-120x480-s3/maxproduct/logspace":    0x8a5d038ebd7994cb,
 	"synthetic-120x480-s3/pool4/logspace":         0x8e709d7d57b049ac,
 	"grid-12x12-s2/node/specialized":              0x5614045111398034,
 	"grid-12x12-s2/edge/specialized":              0x8e13e45edf1b75b2,
-	"grid-12x12-s2/residual/specialized":          0x6ef009e52594b862,
+	"grid-12x12-s2/residual/specialized":          0x05959f6c209e3b9c,
 	"grid-12x12-s2/maxproduct/specialized":        0xe2bbebde64100384,
 	"grid-12x12-s2/pool4/specialized":             0xb55d7d8140039ba5,
 	"grid-12x12-s2/node/generic":                  0x5614045111398034,
 	"grid-12x12-s2/edge/generic":                  0x8e13e45edf1b75b2,
-	"grid-12x12-s2/residual/generic":              0x6ef009e52594b862,
+	"grid-12x12-s2/residual/generic":              0x05959f6c209e3b9c,
 	"grid-12x12-s2/maxproduct/generic":            0xe2bbebde64100384,
 	"grid-12x12-s2/pool4/generic":                 0xb55d7d8140039ba5,
 	"grid-12x12-s2/node/logspace":                 0x32e702b26efb9a62,
 	"grid-12x12-s2/edge/logspace":                 0x8e13e45edf1b75b2,
-	"grid-12x12-s2/residual/logspace":             0x7b4fa69367db8119,
+	"grid-12x12-s2/residual/logspace":             0x5647035dbe847764,
 	"grid-12x12-s2/maxproduct/logspace":           0xf04ef86a726dad4b,
 	"grid-12x12-s2/pool4/logspace":                0x5fc6dfe0cad745a4,
 }

@@ -28,9 +28,9 @@
 // arrived never overwrites the newer entry's update. A popped current
 // entry recomputes its node's true residual against the live beliefs;
 // if that has already fallen below the threshold the pop was wasted
-// work (Ops.WastedUpdates), the price of ordering by estimate rather
-// than recomputing every successor's residual eagerly as the sequential
-// engine does.
+// work (Ops.WastedUpdates), the price of ordering by estimate. The
+// sequential engine schedules by the same estimates; only its queue, an
+// exact heap with plain stores, differs.
 //
 // Beliefs are shared mutably across workers, so every element is read
 // and written through atomic float32 bits, and a per-node spinlock
@@ -350,10 +350,11 @@ func RunFrom(g *graph.Graph, opts Options, seeds []int32) bp.Result {
 			}
 
 			// Push every successor at the applied residual: the sender's
-			// movement is the estimate of how far the receiver may move.
-			// Recomputing each successor's true residual here — the
-			// sequential engine's discipline — would multiply the
-			// per-update message work by the out-degree.
+			// movement is the estimate of how far the receiver may move,
+			// and the receiver's pop recomputes the truth, as in the
+			// sequential engine. Recomputing each successor's true
+			// residual here would multiply the per-update message work by
+			// the out-degree.
 			lo, hi := g.OutOffsets[v], g.OutOffsets[v+1]
 			for _, oe := range g.OutEdges[lo:hi] {
 				dst := g.EdgeDst[oe]
