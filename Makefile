@@ -75,6 +75,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParallelRead -fuzztime=20s ./internal/mtxbp/
 	$(GO) test -fuzz=FuzzDampedKernel -fuzztime=20s ./internal/kernel/
 	$(GO) test -fuzz=FuzzQueryDecode -fuzztime=20s ./internal/serve/
+	$(GO) test -fuzz=FuzzAnswerEncoding -fuzztime=20s ./internal/serve/
 	$(GO) test -fuzz=FuzzBatchLaneEquivalence -fuzztime=20s ./internal/bp/
 	$(GO) test -fuzz=FuzzDeltaApply -fuzztime=20s ./internal/enginetest/
 

@@ -138,13 +138,14 @@ func runServeStream(g *graph.Graph, cfg Config, engine string, docs []string, co
 	return st, resps, nil
 }
 
-// beliefLinf returns the L∞ distance between two all-nodes belief maps.
-func beliefLinf(a, b map[string][]float32) float64 {
+// beliefLinf returns the L∞ distance between two all-nodes belief
+// tables.
+func beliefLinf(a, b *serve.BeliefTable) float64 {
 	var max float64
-	for name, av := range a {
-		bv := b[name]
-		for j := range av {
-			d := float64(av[j] - bv[j])
+	for i := 0; i < a.Len(); i++ {
+		bv, _ := b.Of(a.Node(i))
+		for j, av := range a.Row(i) {
+			d := float64(av - bv[j])
 			if d < 0 {
 				d = -d
 			}
@@ -229,7 +230,7 @@ func RunServeStudy(w io.Writer, cfg Config) error {
 				return err
 			}
 			for i := range warmResps {
-				if d := beliefLinf(warmResps[i].Beliefs, coldResps[i].Beliefs); d > c.maxLinf {
+				if d := beliefLinf(&warmResps[i].Beliefs, &coldResps[i].Beliefs); d > c.maxLinf {
 					c.maxLinf = d
 				}
 			}

@@ -97,7 +97,7 @@ func (s *Server) QueryBatched(r *Resident, rqs []*ResolvedQuery) ([]*Response, e
 			Edges:      lr.Edges,
 			FinalDelta: float64(lr.FinalDelta),
 			WallNs:     wall.Nanoseconds(),
-			Beliefs:    marshalLaneBeliefs(r, bs, l, rq.nodes),
+			Beliefs:    laneBeliefs(r, bs, l, rq.nodes),
 		}
 	}
 	s.emit(telemetry.Event{
@@ -155,22 +155,18 @@ func stageLane(bs *graph.BatchState, l int, rq *ResolvedQuery, snap *warmState) 
 	return true, nil
 }
 
-// marshalLaneBeliefs copies one lane's requested posteriors (all nodes
-// when nodes is nil) into a name-keyed response map.
-func marshalLaneBeliefs(r *Resident, bs *graph.BatchState, lane int, nodes []int32) map[string][]float32 {
-	get := func(v int32) []float32 {
-		return bs.LaneBelief(lane, v, make([]float32, bs.States))
-	}
+// laneBeliefs copies one lane's requested posteriors (all nodes when
+// nodes is nil) into an answer table.
+func laneBeliefs(r *Resident, bs *graph.BatchState, lane int, nodes []int32) BeliefTable {
+	t := BeliefTable{nodes: nodes, states: bs.States, names: r.base.Names}
 	if nodes == nil {
-		out := make(map[string][]float32, bs.NumNodes)
-		for v := int32(0); v < int32(bs.NumNodes); v++ {
-			out[r.nodeLabel(v)] = get(v)
-		}
-		return out
+		t.values = make([]float32, bs.NumNodes*bs.States)
+		bs.ExtractLane(lane, t.values)
+		return t
 	}
-	out := make(map[string][]float32, len(nodes))
-	for _, v := range nodes {
-		out[r.nodeLabel(v)] = get(v)
+	t.values = make([]float32, len(nodes)*bs.States)
+	for i, v := range nodes {
+		bs.LaneBelief(lane, v, t.Row(i))
 	}
-	return out
+	return t
 }

@@ -155,7 +155,7 @@ func TestQueryBatchedAfterEdgeAdd(t *testing.T) {
 		t.Fatalf("flush after an edge add: warm=%v converged=%v, want cold converged", out[0].Warm, out[0].Converged)
 	}
 	oracle := coldOracle(t, r, map[int32]int{17: 1})
-	if gap := worstGap(t, r, out[0], oracle); gap > float64(WarmTol) {
+	if gap := worstGap(t, out[0], oracle); gap > float64(WarmTol) {
 		t.Errorf("flush after an edge add off by %g from the merged graph's oracle (want <= %g)", gap, float64(WarmTol))
 	}
 }

@@ -72,7 +72,7 @@ func TestConcurrentQueriesMatchOracle(t *testing.T) {
 					errs <- fmt.Errorf("worker %d round %d: not converged (delta %g)", w, round, resp.FinalDelta)
 					return
 				}
-				if err := compareToOracle(resp, oracles[pick], r); err != nil {
+				if err := compareToOracle(resp, oracles[pick]); err != nil {
 					errs <- fmt.Errorf("worker %d round %d evidence %s: %w", w, round, docs[pick], err)
 					return
 				}
@@ -89,9 +89,9 @@ func TestConcurrentQueriesMatchOracle(t *testing.T) {
 // compareToOracle checks every reported posterior against the oracle
 // graph's converged beliefs at the enginetest cross-engine tolerance
 // (per-node L1, the same bound the batch engines are held to).
-func compareToOracle(resp *Response, oracle *graph.Graph, r *Resident) error {
+func compareToOracle(resp *Response, oracle *graph.Graph) error {
 	for v := int32(0); v < int32(oracle.NumNodes); v++ {
-		got, ok := resp.Beliefs[r.nodeLabel(v)]
+		got, ok := resp.Beliefs.Of(v)
 		if !ok {
 			return fmt.Errorf("node %d missing from response", v)
 		}
@@ -228,7 +228,7 @@ func TestConcurrentUpdatesQueriesAndBatches(t *testing.T) {
 		for _, p := range decode(t, r, doc).evidence {
 			ev[p.node] = int(p.state)
 		}
-		if gap := worstGap(t, r, resp, coldOracle(t, r, ev)); gap > float64(WarmTol) {
+		if gap := worstGap(t, resp, coldOracle(t, r, ev)); gap > float64(WarmTol) {
 			t.Errorf("%s: final answer off by %g from the final base's oracle (want <= %g)", doc, gap, float64(WarmTol))
 		}
 	}

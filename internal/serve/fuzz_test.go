@@ -10,7 +10,7 @@ import (
 // The invariant is total: DecodeQuery never panics, and anything it
 // accepts is internally consistent — evidence nodes in range and strictly
 // ascending (sorted, no duplicates), states within the graph's belief
-// width, response nodes resolvable.
+// width, response nodes resolvable and strictly ascending.
 // Malformed states, unknown nodes and duplicate evidence must error
 // (the deterministic cases are locked by TestDecodeQueryErrors; the
 // fuzzer explores the space between them).
@@ -61,9 +61,13 @@ func FuzzQueryDecode(f *testing.F) {
 					i, ev.node, rq.evidence[i-1].node)
 			}
 		}
-		for _, v := range rq.nodes {
+		for i, v := range rq.nodes {
 			if v < 0 || int(v) >= g.NumNodes {
 				t.Fatalf("accepted out-of-range response node %d", v)
+			}
+			// Strictly ascending: answers list each node once, in id order.
+			if i > 0 && v <= rq.nodes[i-1] {
+				t.Fatalf("response nodes not strictly ascending at %d: node %d after %d", i, v, rq.nodes[i-1])
 			}
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"credo/internal/graph"
@@ -172,8 +173,22 @@ func (s *Server) handleQuery(w http.ResponseWriter, req *http.Request) {
 		Active:    s.adm.depth(),
 		Items:     s.adm.capacity(),
 	})
-	writeJSON(w, http.StatusOK, resp)
+	enc := tr.Span("encode")
+	buf := answerBufs.Get().(*[]byte)
+	b := append(resp.AppendJSON((*buf)[:0]), '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(b) // a failed write means the client has gone; no one is left to tell
+	*buf = b
+	answerBufs.Put(buf)
+	enc.End()
 }
+
+// answerBufs recycles the buffers handleQuery encodes answers into. An
+// answer is written out before its buffer goes back.
+var answerBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // shed flags the trace and emits the single serve.shed event for one
 // rejected request, carrying the Retry-After hint actually sent on the

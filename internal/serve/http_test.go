@@ -27,6 +27,14 @@ func newHTTPServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *teleme
 	return s, ts, m
 }
 
+// wireAnswer is a query answer as a client decodes it.
+type wireAnswer struct {
+	Engine    string               `json:"engine"`
+	Warm      bool                 `json:"warm"`
+	Converged bool                 `json:"converged"`
+	Beliefs   map[string][]float32 `json:"beliefs"`
+}
+
 func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
@@ -72,7 +80,11 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	if hr.StatusCode != http.StatusOK {
 		t.Fatalf("query = %d: %s", hr.StatusCode, body)
 	}
-	var qr Response
+	if hr.ContentLength != int64(len(body)) || !bytes.HasSuffix(body, []byte("}\n")) {
+		t.Fatalf("answer body: Content-Length %d for %d bytes, want one JSON document and a newline",
+			hr.ContentLength, len(body))
+	}
+	var qr wireAnswer
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatalf("response is not valid JSON: %v\n%s", err, body)
 	}
@@ -89,7 +101,7 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	if hr.StatusCode != http.StatusOK {
 		t.Fatalf("warm query = %d: %s", hr.StatusCode, body)
 	}
-	var warm Response
+	var warm wireAnswer
 	if err := json.Unmarshal(body, &warm); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +116,7 @@ func TestHTTPQueryRoundTrip(t *testing.T) {
 	if hr.StatusCode != http.StatusOK {
 		t.Fatalf("warm auto query = %d: %s", hr.StatusCode, body)
 	}
-	var auto Response
+	var auto wireAnswer
 	if err := json.Unmarshal(body, &auto); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +219,7 @@ func TestHTTPLoadEndpointSprinkler(t *testing.T) {
 	if hr.StatusCode != http.StatusOK {
 		t.Fatalf("query after load = %d: %s", hr.StatusCode, body)
 	}
-	var qr Response
+	var qr wireAnswer
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ type evidencePayload struct {
 // ResolvedQuery is a decoded, validated query bound to one resident:
 // evidence as (node id, state) pairs sorted by node with one pair per
 // node — the form the warm-start diff merges — and the resolved response
-// node set (nil = all).
+// node set, ascending and without duplicates (nil = all).
 type ResolvedQuery struct {
 	evidence []evPair
 	nodes    []int32 // nil means every node
@@ -99,6 +99,11 @@ func (r *Resident) DecodeQuery(data []byte) (*ResolvedQuery, error) {
 			return nil, fmt.Errorf("serve: duplicate evidence for node %q", r.nodeLabel(v))
 		}
 	}
+	// An omitted or null list exports every node; an empty one answers
+	// none.
+	if q.Nodes != nil {
+		rq.nodes = make([]int32, 0, len(q.Nodes))
+	}
 	for _, n := range q.Nodes {
 		v, err := r.resolveNode(n)
 		if err != nil {
@@ -106,6 +111,10 @@ func (r *Resident) DecodeQuery(data []byte) (*ResolvedQuery, error) {
 		}
 		rq.nodes = append(rq.nodes, v)
 	}
+	// Answers list nodes in id order, each once, however the query named
+	// them.
+	slices.Sort(rq.nodes)
+	rq.nodes = slices.Compact(rq.nodes)
 	return rq, nil
 }
 

@@ -98,8 +98,8 @@ type Config struct {
 	// Tracer, when non-nil, samples requests into request-scoped traces:
 	// the HTTP layer opens a trace per sampled query and every stage the
 	// request crosses (admission, decode, staging, the engine run,
-	// extraction) records a span on it. Anomalous traces land in the
-	// tracer's flight recorder. Nil disables tracing entirely.
+	// extraction, encoding) records a span on it. Anomalous traces land
+	// in the tracer's flight recorder. Nil disables tracing entirely.
 	Tracer *telemetry.Tracer
 
 	// MRF doubles directed BIF/XMLBIF networks into MRF form on load, so

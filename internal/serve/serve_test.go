@@ -48,14 +48,15 @@ func decode(t *testing.T, r *Resident, doc string) *ResolvedQuery {
 // responses covering the same node set.
 func maxBeliefGap(t *testing.T, a, b *Response) float64 {
 	t.Helper()
-	if len(a.Beliefs) != len(b.Beliefs) {
-		t.Fatalf("belief maps cover %d vs %d nodes", len(a.Beliefs), len(b.Beliefs))
+	if a.Beliefs.Len() != b.Beliefs.Len() {
+		t.Fatalf("belief tables cover %d vs %d nodes", a.Beliefs.Len(), b.Beliefs.Len())
 	}
 	worst := 0.0
-	for name, av := range a.Beliefs {
-		bv, ok := b.Beliefs[name]
+	for k := 0; k < a.Beliefs.Len(); k++ {
+		v, av := a.Beliefs.Node(k), a.Beliefs.Row(k)
+		bv, ok := b.Beliefs.Of(v)
 		if !ok || len(av) != len(bv) {
-			t.Fatalf("node %q missing or mis-shaped in second response", name)
+			t.Fatalf("node %d missing or mis-shaped in second response", v)
 		}
 		for i := range av {
 			if d := math.Abs(float64(av[i]) - float64(bv[i])); d > worst {
@@ -256,11 +257,12 @@ func TestColdEdgeAfterReusedOverlay(t *testing.T) {
 				i, got.Iterations, got.Updates, got.Edges, got.FinalDelta,
 				want.Iterations, want.Updates, want.Edges, want.FinalDelta)
 		}
-		for name, wb := range want.Beliefs {
-			gb := got.Beliefs[name]
+		for k := 0; k < want.Beliefs.Len(); k++ {
+			v, wb := want.Beliefs.Node(k), want.Beliefs.Row(k)
+			gb, _ := got.Beliefs.Of(v)
 			for j := range wb {
 				if math.Float32bits(gb[j]) != math.Float32bits(wb[j]) {
-					t.Fatalf("step %d: node %s belief %v on the reused overlay, %v on a fresh server", i, name, gb, wb)
+					t.Fatalf("step %d: node %d belief %v on the reused overlay, %v on a fresh server", i, v, gb, wb)
 				}
 			}
 		}
@@ -276,11 +278,15 @@ func TestQueryBeliefsSubsetAndNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Beliefs) != 3 {
-		t.Fatalf("asked for 3 nodes, got %d", len(resp.Beliefs))
+	if resp.Beliefs.Len() != 3 {
+		t.Fatalf("asked for 3 nodes, got %d", resp.Beliefs.Len())
 	}
 	for _, name := range []string{"1", "17", "255"} {
-		b, ok := resp.Beliefs[name]
+		v, err := r.resolveNode(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, ok := resp.Beliefs.Of(v)
 		if !ok {
 			t.Fatalf("node %q missing from response", name)
 		}
@@ -394,7 +400,9 @@ func TestLoadFilesSprinkler(t *testing.T) {
 	if !resp.Converged {
 		t.Fatalf("sprinkler query did not converge (delta %g)", resp.FinalDelta)
 	}
-	if _, ok := resp.Beliefs["rain"]; !ok {
+	if v, ok := r.names["rain"]; !ok {
+		t.Fatal("sprinkler has no node named rain")
+	} else if _, ok := resp.Beliefs.Of(v); !ok {
 		t.Fatalf("response misses rain posterior: %v", resp.Beliefs)
 	}
 

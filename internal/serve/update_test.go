@@ -31,12 +31,12 @@ func coldOracle(t *testing.T, r *Resident, evidence map[int32]int) *graph.Graph 
 	return o
 }
 
-// worstGap compares a response's belief map against an oracle graph.
-func worstGap(t *testing.T, r *Resident, resp *Response, oracle *graph.Graph) float64 {
+// worstGap compares a response's beliefs against an oracle graph.
+func worstGap(t *testing.T, resp *Response, oracle *graph.Graph) float64 {
 	t.Helper()
 	worst := 0.0
 	for v := int32(0); v < int32(oracle.NumNodes); v++ {
-		got, ok := resp.Beliefs[r.nodeLabel(v)]
+		got, ok := resp.Beliefs.Of(v)
 		if !ok {
 			t.Fatalf("response missing node %d", v)
 		}
@@ -102,7 +102,7 @@ func TestWarmSnapshotStaleAfterBaseMutation(t *testing.T) {
 		t.Fatalf("post-mutation cold query did not converge (delta %g)", second.FinalDelta)
 	}
 	oracle := coldOracle(t, r, map[int32]int{17: 1})
-	if gap := worstGap(t, r, second, oracle); gap > float64(WarmTol) {
+	if gap := worstGap(t, second, oracle); gap > float64(WarmTol) {
 		t.Errorf("post-mutation beliefs off by %g (want <= %g) — stale state leaked into the answer", gap, float64(WarmTol))
 	}
 	if !r.HasWarm() {
@@ -165,7 +165,7 @@ func TestUpdateReconvergesWarmSnapshot(t *testing.T) {
 	if !warm.Warm {
 		t.Fatal("query after non-structural update did not take the warm path")
 	}
-	if gap := worstGap(t, r, warm, oracle); gap > float64(WarmTol) {
+	if gap := worstGap(t, warm, oracle); gap > float64(WarmTol) {
 		t.Errorf("warm post-update beliefs off by %g (want <= %g)", gap, float64(WarmTol))
 	}
 	if warm.Updates >= cold.Ops.NodesProcessed {
@@ -210,7 +210,7 @@ func TestUpdateStructuralInvalidatesWarm(t *testing.T) {
 		t.Fatal("query after structural update took the warm path")
 	}
 	oracle := coldOracle(t, r, map[int32]int{17: 1})
-	if gap := worstGap(t, r, second, oracle); gap > float64(WarmTol) {
+	if gap := worstGap(t, second, oracle); gap > float64(WarmTol) {
 		t.Errorf("post-structural-update beliefs off by %g (want <= %g)", gap, float64(WarmTol))
 	}
 }
@@ -324,7 +324,7 @@ func TestUpdateIgnoresStaleWarmSnapshot(t *testing.T) {
 		t.Fatal("post-update query warm-started from a stale fixpoint")
 	}
 	oracle := coldOracle(t, r, map[int32]int{17: 1})
-	if gap := worstGap(t, r, q, oracle); gap > float64(WarmTol) {
+	if gap := worstGap(t, q, oracle); gap > float64(WarmTol) {
 		t.Errorf("post-update beliefs off by %g (want <= %g) — stale fixpoint leaked into the answer", gap, float64(WarmTol))
 	}
 }
@@ -364,7 +364,7 @@ func TestUpdateWithoutSeedsKeepsWarm(t *testing.T) {
 		t.Fatalf("same-evidence query after a seedless update: warm=%v updates=%d, want warm with 0", resp.Warm, resp.Updates)
 	}
 	oracle := coldOracle(t, r, map[int32]int{17: 1})
-	if gap := worstGap(t, r, resp, oracle); gap > float64(WarmTol) {
+	if gap := worstGap(t, resp, oracle); gap > float64(WarmTol) {
 		t.Errorf("beliefs off by %g (want <= %g)", gap, float64(WarmTol))
 	}
 }
@@ -425,7 +425,7 @@ func TestQueryOverlappingUpdateAnswersWarm(t *testing.T) {
 		t.Fatalf("query overlapping the update's re-convergence ran cold (%d updates)", got.resp.Updates)
 	}
 	oracle := coldOracle(t, r, map[int32]int{136: 1})
-	if gap := worstGap(t, r, got.resp, oracle); gap > float64(WarmTol) {
+	if gap := worstGap(t, got.resp, oracle); gap > float64(WarmTol) {
 		t.Errorf("overlapping query off by %g (want <= %g)", gap, float64(WarmTol))
 	}
 }

@@ -89,26 +89,12 @@ func perturbedFrontier(g *graph.Graph, old, cur []evPair) (changed, seeds []int3
 	return changed, seeds
 }
 
-// Response is the wire shape of a served posterior query.
-type Response struct {
-	Graph      string               `json:"graph"`
-	Engine     string               `json:"engine"`
-	Warm       bool                 `json:"warm"`
-	Converged  bool                 `json:"converged"`
-	Iterations int                  `json:"iterations"`
-	Updates    int64                `json:"updates"`
-	Edges      int64                `json:"edges"`
-	FinalDelta float64              `json:"final_delta"`
-	WallNs     int64                `json:"wall_ns"`
-	Beliefs    map[string][]float32 `json:"beliefs"`
-}
-
 // QueryResident executes one posterior query against the resident:
 // lease an overlay, clamp the evidence, pick an engine (the explicit
 // override first, the warm path when a snapshot exists and the engine
 // family supports seeded starts, the classifier-driven cold selection
-// otherwise), run, snapshot on convergence, and marshal the requested
-// beliefs.
+// otherwise), run, snapshot on convergence, and copy out the requested
+// beliefs before the overlay goes back to the pool.
 func (s *Server) QueryResident(r *Resident, engine string, rq *ResolvedQuery) (*Response, error) {
 	return s.queryResident(r, engine, rq, nil)
 }
@@ -183,7 +169,15 @@ func (s *Server) queryResident(r *Resident, engine string, rq *ResolvedQuery, tr
 	}
 
 	ext := tr.Span("extract")
-	beliefs := marshalBeliefs(r, g, rq.nodes)
+	beliefs := BeliefTable{nodes: rq.nodes, states: g.States, names: r.base.Names}
+	if rq.nodes == nil {
+		beliefs.values = append([]float32(nil), g.Beliefs...)
+	} else {
+		beliefs.values = make([]float32, len(rq.nodes)*g.States)
+		for i, v := range rq.nodes {
+			copy(beliefs.Row(i), g.Belief(v))
+		}
+	}
 	ext.End()
 	resp := &Response{
 		Graph:      r.Name,
@@ -252,21 +246,4 @@ func (s *Server) runCold(r *Resident, g *graph.Graph, engine string, opts bp.Opt
 		return "", bp.Result{}, fmt.Errorf("serve: %w", err)
 	}
 	return rep.Implementation.String(), rep.Result, nil
-}
-
-// marshalBeliefs copies the requested nodes' posteriors (all nodes when
-// nodes is nil) into a name-keyed response map.
-func marshalBeliefs(r *Resident, g *graph.Graph, nodes []int32) map[string][]float32 {
-	if nodes == nil {
-		out := make(map[string][]float32, g.NumNodes)
-		for v := int32(0); v < int32(g.NumNodes); v++ {
-			out[r.nodeLabel(v)] = append([]float32(nil), g.Belief(v)...)
-		}
-		return out
-	}
-	out := make(map[string][]float32, len(nodes))
-	for _, v := range nodes {
-		out[r.nodeLabel(v)] = append([]float32(nil), g.Belief(v)...)
-	}
-	return out
 }
