@@ -215,6 +215,13 @@ type Result struct {
 	Deltas []float32
 	// Ops are the abstract operation counts of the run.
 	Ops OpCounts
+	// Moved lists the nodes a seeded RunResidualFrom applied an update
+	// to, in application order; a node may appear more than once. A
+	// seeded run that applies nothing reports an empty, non-nil slice.
+	// Nil means the run did not track it (cold starts, seeded runs past
+	// NumNodes updates, and every other engine): assume every belief row
+	// moved.
+	Moved []int32
 }
 
 // logEps keeps log() finite: probabilities are clamped to at least logEps

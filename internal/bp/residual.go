@@ -51,7 +51,10 @@ func RunResidual(g *graph.Graph, opts Options) Result {
 // empty non-nil slice is a valid warm start with no perturbation: the
 // run returns immediately, converged, with zero updates. Out-of-range,
 // observed and input-free seed nodes are skipped; duplicates are
-// harmless.
+// harmless. A seeded run reports the nodes it moved in Result.Moved, so
+// a caller holding a copy of the starting beliefs can bring it up to
+// date row by row; a cold run, and a seeded one that applies more than
+// NumNodes updates, leave Moved nil. A cold run allocates nothing.
 func RunResidualFrom(g *graph.Graph, opts Options, seeds []int32) Result {
 	sc := getScratch()
 	res := runResidual(g, opts, sc, seeds)
@@ -102,6 +105,10 @@ func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds []int32) Re
 	maxUpdates := int64(opts.MaxIterations) * int64(g.NumNodes)
 	var updates int64
 	var lastApplied, maxDiscarded float32
+	var moved []int32 // tracked only for seeded runs
+	if seeds != nil {
+		moved = []int32{}
+	}
 	for updates < maxUpdates && pq.Len() > 0 {
 		v := pq.popMax()
 		residualCandidate(g, &k, sc, &res, v, cand)
@@ -115,6 +122,13 @@ func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds []int32) Re
 			continue
 		}
 		copy(b, cand)
+		// Past N entries copying every row is no dearer than the list,
+		// so a long run stops tracking.
+		if moved != nil && len(moved) < g.NumNodes {
+			moved = append(moved, v)
+		} else {
+			moved = nil
+		}
 		res.Ops.NodesProcessed++
 		res.Ops.MemStores += int64(s)
 		updates++
@@ -164,6 +178,7 @@ func runResidual(g *graph.Graph, opts Options, sc *runScratch, seeds []int32) Re
 		}
 	}
 	res.Converged = pq.Len() == 0
+	res.Moved = moved
 	res.FinalDelta = lastApplied
 	if res.Converged {
 		res.FinalDelta = maxDiscarded

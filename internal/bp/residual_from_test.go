@@ -1,6 +1,8 @@
 package bp
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"credo/internal/gen"
@@ -116,5 +118,70 @@ func TestRunResidualFromSkipsBadSeeds(t *testing.T) {
 	res := RunResidualFrom(g, Options{}, []int32{-3, int32(g.NumNodes) + 7, 0, 0})
 	if !res.Converged {
 		t.Fatal("warm start with degenerate seeds did not converge")
+	}
+}
+
+// TestResidualFromReportsMoved: a seeded run lists exactly the nodes
+// whose beliefs it changed, an empty seed set reports an empty non-nil
+// list, and a cold run, or one past NumNodes updates, reports none (nil:
+// not tracked).
+func TestResidualFromReportsMoved(t *testing.T) {
+	g := warmGrid(t)
+	if res := RunResidual(g, Options{}); !res.Converged || res.Moved != nil {
+		t.Fatalf("cold run: converged=%v, Moved=%v; want converged and nil", res.Converged, res.Moved)
+	}
+	if res := RunResidualFrom(g, Options{}, []int32{}); res.Moved == nil || len(res.Moved) != 0 {
+		t.Fatalf("empty-seed run reported Moved=%v, want an empty non-nil slice", res.Moved)
+	}
+	rng := rand.New(rand.NewSource(7))
+	untracked := 0
+	for trial := 0; trial < 40; trial++ {
+		opts := Options{}
+		if trial%4 == 3 {
+			opts.Damping = 0.5
+		}
+		var seeds []int32
+		for k := 0; k < 1+rng.Intn(3); k++ {
+			v := int32(rng.Intn(g.NumNodes))
+			if rng.Intn(2) == 0 {
+				if err := g.Observe(v, rng.Intn(g.States)); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				p := g.Prior(v)
+				p[0], p[1] = p[1], p[0]
+			}
+			seeds = append(seeds, perturbFrontier(g, v)...)
+		}
+		before := append([]float32(nil), g.Beliefs...)
+		res := RunResidualFrom(g, opts, seeds)
+		if res.Ops.NodesProcessed > int64(g.NumNodes) {
+			if res.Moved != nil {
+				t.Fatalf("trial %d: %d updates on %d nodes still tracked", trial, res.Ops.NodesProcessed, g.NumNodes)
+			}
+			untracked++
+			continue
+		}
+		if res.Moved == nil || int64(len(res.Moved)) != res.Ops.NodesProcessed {
+			t.Fatalf("trial %d: %d moves reported for %d applied updates", trial, len(res.Moved), res.Ops.NodesProcessed)
+		}
+		moved := map[int32]bool{}
+		for _, v := range res.Moved {
+			moved[v] = true
+		}
+		for v := int32(0); v < int32(g.NumNodes); v++ {
+			changed := false
+			for j := 0; j < g.States; j++ {
+				i := int(v)*g.States + j
+				changed = changed || math.Float32bits(before[i]) != math.Float32bits(g.Beliefs[i])
+			}
+			if changed != moved[v] {
+				t.Fatalf("trial %d: node %d changed=%v but reported moved=%v", trial, v, changed, moved[v])
+			}
+		}
+	}
+	t.Logf("%d of 40 seeded runs passed NumNodes updates and went untracked", untracked)
+	if untracked > 10 {
+		t.Fatalf("%d of 40 trials passed NumNodes updates; the tracked case is barely exercised", untracked)
 	}
 }

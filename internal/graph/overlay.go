@@ -7,8 +7,9 @@ import "fmt"
 // messages untouched. It is the evidence-overlay primitive behind the
 // serving layer: a resident graph stays pristine and read-only while
 // each query leases a structural clone, re-bases its node state with
-// CopyStateFrom, clamps its own evidence and runs propagation, so
-// concurrent queries never observe each other's clamps or beliefs.
+// CopyStateFrom (or, warm, copies only the rows that changed), clamps
+// its own evidence and runs propagation, so concurrent queries never
+// observe each other's clamps or beliefs.
 //
 // Messages are left as they were because the node paradigm never reads
 // them: its kernel gathers parent beliefs. A caller about to run a

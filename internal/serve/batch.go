@@ -61,7 +61,7 @@ func (s *Server) QueryBatched(r *Resident, rqs []*ResolvedQuery) ([]*Response, e
 	laneWarm := make([]bool, len(rqs))
 	warm := false
 	for l, rq := range rqs {
-		w, err := stageLane(bs, l, rq, r.warm)
+		w, err := stageLane(bs, l, rq, &r.snap)
 		if err != nil {
 			r.mu.RUnlock()
 			return nil, fmt.Errorf("serve: %w", err)
@@ -73,13 +73,16 @@ func (s *Server) QueryBatched(r *Resident, rqs []*ResolvedQuery) ([]*Response, e
 	r.mu.RUnlock()
 	wall := time.Since(start)
 
-	// Publish one converged lane as the warm snapshot; the last staged
-	// lane wins so back-to-back flushes behave like sequential queries.
+	// Publish one converged lane as the warm snapshot, replacing it whole
+	// if the base is still at the generation staged; the last staged lane
+	// wins so back-to-back flushes behave like sequential queries.
 	for l := len(rqs) - 1; l >= 0; l-- {
 		if rep.Result.Lanes[l].Converged {
-			flat := make([]float32, bs.NumNodes*bs.States)
-			bs.ExtractLane(l, flat)
-			r.publish(flat, rqs[l].evidence, gen)
+			r.mu.Lock()
+			if r.base.Generation() == gen {
+				r.storeLocked(func(dst []float32) { bs.ExtractLane(l, dst) }, rqs[l].evidence)
+			}
+			r.mu.Unlock()
 			break
 		}
 	}
@@ -120,9 +123,9 @@ func (s *Server) QueryBatched(r *Resident, rqs []*ResolvedQuery) ([]*Response, e
 // their prior — the same staging the solo warm path applies to its
 // overlay, done per lane on the SoA state. Lanes with no snapshot or too
 // large a delta stage cold (priors plus evidence, the Reset state).
-func stageLane(bs *graph.BatchState, l int, rq *ResolvedQuery, snap *warmState) (bool, error) {
+func stageLane(bs *graph.BatchState, l int, rq *ResolvedQuery, snap *warmSnapshot) (bool, error) {
 	warm := false
-	if snap != nil {
+	if snap.ok {
 		changed := 0
 		diffEvidence(snap.evidence, rq.evidence, func(_, _, _ int32) { changed++ })
 		warm = changed <= warmDeltaMinNodes ||

@@ -1,12 +1,17 @@
 package serve
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
+	"credo/internal/bp"
 	"credo/internal/enginetest"
+	"credo/internal/gen"
 	"credo/internal/graph"
 )
 
@@ -115,23 +120,23 @@ func compareToOracle(resp *Response, oracle *graph.Graph) error {
 // never alias, and the resident base never sees a clamp.
 func TestConcurrentLeasesAreIsolated(t *testing.T) {
 	_, r := newGridServer(t, Config{})
-	a, _, _ := r.lease()
-	b, _, _ := r.lease()
-	if a == b {
+	a, _, _, _ := r.lease(false)
+	b, _, _, _ := r.lease(false)
+	if a == b || a.g == b.g {
 		t.Fatal("two live leases alias the same overlay")
 	}
-	if a == r.base || b == r.base {
+	if a.g == r.base || b.g == r.base {
 		t.Fatal("lease handed out the resident base")
 	}
-	if err := a.Observe(0, 1); err != nil {
+	if err := a.g.Observe(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if r.base.Observed[0] || b.Observed[0] {
+	if r.base.Observed[0] || b.g.Observed[0] {
 		t.Fatal("clamping one lease leaked into the base or a sibling lease")
 	}
 	r.release(a)
-	c, _, _ := r.lease() // may reuse a's arrays — must come back pristine
-	if c.Observed[0] {
+	c, _, _, _ := r.lease(false) // may reuse a's arrays — must come back pristine
+	if c.g.Observed[0] {
 		t.Fatal("recycled lease kept the previous query's evidence")
 	}
 	r.release(b)
@@ -232,4 +237,200 @@ func TestConcurrentUpdatesQueriesAndBatches(t *testing.T) {
 			t.Errorf("%s: final answer off by %g from the final base's oracle (want <= %g)", doc, gap, float64(WarmTol))
 		}
 	}
+}
+
+// TestConcurrentLeaseMatchesFullCopy: however an overlay was last used,
+// a lease hands it back holding exactly what a whole-state copy would —
+// the base's priors and clamps, and the snapshot's beliefs (the base's
+// when cold) — while goroutines interleave warm and cold queries on
+// every engine, numeric and structural updates, invalidations and
+// batched flushes. The graph is large enough (1,500 nodes) that most
+// re-bases are incremental, so a row missing from the journal or from
+// an overlay's dirty list shows up as a mismatch; on a few hundred
+// nodes the quarter-graph fallback would copy everything and hide it.
+func TestConcurrentLeaseMatchesFullCopy(t *testing.T) {
+	g, err := gen.PowerLaw(1500, 6000, gen.Config{Seed: 3, States: 2, Shared: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g, err = g.Undirected(); err != nil {
+		t.Fatal(err)
+	}
+	lt := &leaseTest{
+		s: New(Config{Workers: 2}),
+		// Runs on this server hit the iteration cap and publish nothing,
+		// so their overlays go back to the pool with rows that only the
+		// overlay's own dirty list records.
+		capped: New(Config{Workers: 2, Options: bp.Options{Threshold: 1e-30, MaxIterations: 1}}),
+	}
+	if lt.r, err = lt.s.Load("lease", g); err != nil {
+		t.Fatal(err)
+	}
+	// Queries clamp 20 low ids and 10 input-free nodes, which no run
+	// moves, so a retracted clamp's row is written only by the query.
+	for v := int32(0); len(lt.hot) < 30; v++ {
+		if v < 20 || g.InDegree(v) == 0 {
+			lt.hot = append(lt.hot, v)
+		}
+	}
+	const workers, steps = 2, 50
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w) + 1))
+			var clamped []int32 // this worker's update clamps, each once
+			for step := 0; step < steps; step++ {
+				if err := lt.step(rng, w, &clamped); err != nil {
+					errs <- fmt.Errorf("worker %d step %d: %w", w, step, err)
+					return
+				}
+				if err := lt.check(rng); err != nil {
+					errs <- fmt.Errorf("worker %d after step %d: %w", w, step, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// leaseTest is the state TestConcurrentLeaseMatchesFullCopy's workers
+// share. Every step holds excl, an export check for writing, so no
+// other step can move the snapshot between its answer and the
+// comparison.
+type leaseTest struct {
+	s, capped *Server
+	r         *Resident
+	hot       []int32
+	excl      sync.RWMutex
+}
+
+// step runs one random step of worker w.
+func (lt *leaseTest) step(rng *rand.Rand, w int, clamped *[]int32) error {
+	s, r, n := lt.s, lt.r, lt.r.base.NumNodes
+	query := func() *ResolvedQuery {
+		rq := &ResolvedQuery{}
+		for _, i := range rng.Perm(len(lt.hot))[:1+rng.Intn(6)] {
+			rq.evidence = append(rq.evidence, evPair{node: lt.hot[i], state: int32(rng.Intn(2))})
+		}
+		slices.SortFunc(rq.evidence, func(a, b evPair) int { return cmp.Compare(a.node, b.node) })
+		if rng.Intn(2) == 0 {
+			for _, v := range rng.Perm(n)[:16] {
+				rq.nodes = append(rq.nodes, int32(v))
+			}
+			slices.Sort(rq.nodes)
+		}
+		return rq
+	}
+	k := rng.Intn(20)
+	if k == 9 { // an export check
+		lt.excl.Lock()
+		defer lt.excl.Unlock()
+	} else {
+		lt.excl.RLock()
+		defer lt.excl.RUnlock()
+	}
+	switch {
+	case k < 5:
+		_, err := s.QueryResident(r, []string{EngineAuto, EngineResidual}[rng.Intn(2)], query())
+		return err
+	case k < 6:
+		_, err := s.QueryResident(r, []string{EngineNode, EngineEdge}[rng.Intn(2)], query())
+		return err
+	case k < 9:
+		engines := []string{EngineAuto, EngineResidual, EngineRelax, EngineNode, EngineEdge, EnginePool}
+		_, err := lt.capped.QueryResident(r, engines[rng.Intn(len(engines))], query())
+		return err
+	case k < 10:
+		rq := query()
+		rq.nodes = nil
+		resp, err := s.QueryResident(r, EngineResidual, rq)
+		if err != nil || !resp.Converged {
+			return err
+		}
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		if !r.snap.ok || !sameBits(r.snap.beliefs, resp.Beliefs.values) {
+			return fmt.Errorf("snapshot differs from the converged export it published (warm=%v)", resp.Warm)
+		}
+		return nil
+	case k < 11:
+		_, err := s.QueryBatched(r, []*ResolvedQuery{query()})
+		return err
+	case k < 12:
+		r.InvalidateWarm()
+		return nil
+	}
+	var m gen.Mutation
+	switch k := rng.Intn(10); {
+	case k < 3:
+		// A worker clamps only ids of its own parity, so it never
+		// retracts the other's clamp. About a quarter of the clamps land
+		// on the nodes queries clamp, so queries restate and retract
+		// nodes the base clamps.
+		v := int32(rng.Intn(n/2)*2 + w)
+		if h := lt.hot[rng.Intn(len(lt.hot))]; rng.Intn(2) == 0 && int(h)%2 == w {
+			v = h
+		}
+		m = gen.Mutation{Kind: gen.MutEvidence, Node: v, State: rng.Intn(2)}
+		if !slices.Contains(*clamped, v) {
+			*clamped = append(*clamped, v)
+		}
+	case k < 5 && len(*clamped) > 0:
+		i := rng.Intn(len(*clamped))
+		m = gen.Mutation{Kind: gen.MutRetract, Node: (*clamped)[i]}
+		*clamped = slices.Delete(*clamped, i, i+1)
+	case k < 9:
+		p := rng.Float32()
+		m = gen.Mutation{Kind: gen.MutPrior, Node: int32(rng.Intn(n)), Prior: []float32{p, 1 - p}}
+	default:
+		src, dst := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if src == dst {
+			return nil
+		}
+		m = gen.Mutation{Kind: gen.MutAddEdge, Src: src, Dst: dst}
+	}
+	_, err := s.UpdateResident(r, &ResolvedUpdate{muts: []gen.Mutation{m}})
+	return err
+}
+
+// check holds several leases at once under one read lock and compares
+// each, bit for bit, with a whole-state copy.
+func (lt *leaseTest) check(rng *rand.Rand) error {
+	lt.excl.RLock()
+	defer lt.excl.RUnlock()
+	r := lt.r
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var held []*overlay
+	defer func() {
+		for _, o := range held {
+			r.release(o)
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		warm := r.snap.ok && rng.Intn(4) != 0
+		o := r.leaseLocked(warm)
+		held = append(held, o)
+		want := r.base.Beliefs
+		if warm {
+			want = r.snap.beliefs
+		}
+		switch {
+		case !sameBits(o.g.Priors, r.base.Priors):
+			return fmt.Errorf("lease %d (warm=%v): priors differ from the base's", i, warm)
+		case !slices.Equal(o.g.Observed, r.base.Observed):
+			return fmt.Errorf("lease %d (warm=%v): clamps differ from the base's", i, warm)
+		case !sameBits(o.g.Beliefs, want):
+			return fmt.Errorf("lease %d (warm=%v): beliefs differ from a whole copy", i, warm)
+		}
+	}
+	return nil
 }

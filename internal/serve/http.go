@@ -65,7 +65,7 @@ func (s *Server) info(r *Resident) graphInfo {
 		Nodes:      r.md.NumNodes,
 		Edges:      r.md.NumEdges,
 		States:     r.md.States,
-		Warm:       r.warm != nil,
+		Warm:       r.snap.ok,
 		Generation: r.base.Generation(),
 		Metadata:   r.md,
 	}

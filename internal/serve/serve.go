@@ -8,21 +8,24 @@
 //   - Evidence overlays. No query writes the resident graph (only
 //     /v1/update does); each query leases a structural clone from a
 //     per-graph pool (shared adjacency and joint matrices, private
-//     numeric arrays), re-bases it with graph.CopyStateFrom, clamps its
-//     own evidence and runs propagation there. Concurrent queries never
-//     share kernel arenas or observe each other's clamps.
+//     numeric arrays), re-bases its node state, clamps its own evidence
+//     and runs propagation there. Concurrent queries never share kernel
+//     arenas or observe each other's clamps. A warm lease copies only
+//     the rows its overlay wrote plus the rows a journal says changed
+//     since it last re-based, so it costs the frontier, not the graph.
 //
-//   - Warm starts. After any converged query the resident snapshots the
+//   - Warm starts. After any converged query the resident keeps the
 //     fixpoint beliefs together with the evidence they were converged
-//     under. The next query diffs its evidence against the snapshot and
-//     seeds only the perturbed frontier — the changed nodes plus their
-//     out-neighbours — into the residual/relaxed queues
-//     (bp.RunResidualFrom / relaxbp.RunFrom), re-converging from the old
-//     fixpoint instead of from uniform priors. The residual scheduling
-//     papers (Aksenov et al.; Van der Merwe et al.) make this nearly
-//     free: unperturbed residuals stay below threshold and never enter
-//     the queue. Cold start is the automatic fallback, and warm results
-//     are locked within WarmTol of a cold start by the equivalence tests.
+//     under, patching only the rows the query changed or moved. The next
+//     query diffs its evidence against the snapshot and seeds only the
+//     perturbed frontier — the changed nodes plus their out-neighbours —
+//     into the residual/relaxed queues (bp.RunResidualFrom /
+//     relaxbp.RunFrom), re-converging from the old fixpoint instead of
+//     from uniform priors. The residual scheduling papers (Aksenov et
+//     al.; Van der Merwe et al.) make this nearly free: unperturbed
+//     residuals stay below threshold and never enter the queue. Cold
+//     start is the automatic fallback, and warm results are locked
+//     within WarmTol of a cold start by the equivalence tests.
 //
 //   - Admission control. A bounded two-stage admission queue (execution
 //     slots plus a waiting line) sheds load with 429 + Retry-After once
@@ -263,25 +266,26 @@ func (s *Server) only() (*Resident, bool) {
 //
 // One invariant holds by construction: the snapshot, when set, is a
 // fixpoint of the base as it stands. mu guards the base, the snapshot
-// and the cached statistics together. /v1/update holds it for writing
-// from its first mutation until it has published the re-converged
-// snapshot (or dropped it), and a query publishes under it only if the
-// base is still at the generation the query leased. Queries hold mu only
-// while they copy state in and while they swap the snapshot pointer,
-// never across an engine run; a batched run holds it for reading, since
-// the batched engine reads the base's arrays directly.
+// (one belief array patched in place, see warmSnapshot) and the cached
+// statistics together. /v1/update holds it for writing from its first
+// mutation until it has patched in the re-converged snapshot (or
+// dropped it), and a query publishes under it only if the base is still
+// at the generation the query leased. Queries hold mu for reading while
+// they re-base an overlay and for writing while they patch the
+// snapshot, never across an engine run; a batched run holds it for
+// reading, since the batched engine reads the base's arrays directly.
 type Resident struct {
 	Name  string
 	names map[string]int32
 
 	mu        sync.RWMutex
 	base      *graph.Graph
-	warm      *warmState
+	snap      warmSnapshot
 	md        graph.Metadata
 	footprint int64
 
 	// Both pools' New funcs read the base, so Get only with mu held.
-	pool  sync.Pool // *graph.Graph overlays for solo queries and updates
+	pool  sync.Pool // *overlay for solo queries and updates
 	batch sync.Pool // *graph.BatchState lanes for QueryBatched
 }
 
@@ -295,13 +299,14 @@ func NewResident(name string, g *graph.Graph) *Resident {
 		md:        g.Stats(),
 		footprint: g.MemoryFootprint(),
 		names:     make(map[string]int32, len(g.Names)),
+		snap:      warmSnapshot{epoch: 1}, // pooled overlays start at epoch 0
 	}
 	for i, n := range g.Names {
 		if n != "" {
 			r.names[n] = int32(i)
 		}
 	}
-	r.pool.New = func() any { return g.Clone() }
+	r.pool.New = func() any { return &overlay{g: g.Clone()} }
 	r.batch.New = func() any {
 		// A BatchState is node-shaped and the batched engine reads edges
 		// from the base, so an edge add leaves pooled states valid.
@@ -328,7 +333,7 @@ func (r *Resident) Metadata() graph.Metadata {
 func (r *Resident) HasWarm() bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.warm != nil
+	return r.snap.ok
 }
 
 // Generation returns the base graph's mutation generation.
@@ -337,31 +342,6 @@ func (r *Resident) Generation() uint64 {
 	defer r.mu.RUnlock()
 	return r.base.Generation()
 }
-
-// lease borrows an overlay holding the base's numeric state, and returns
-// it with the warm snapshot and the base generation, all read under one
-// read lock: the snapshot is a fixpoint of exactly the state copied, and
-// the generation is the one a fixpoint converged on the overlay must be
-// published under.
-func (r *Resident) lease() (*graph.Graph, *warmState, uint64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.leaseLocked(), r.warm, r.base.Generation()
-}
-
-// leaseLocked is lease's copy; the caller holds mu. A pooled clone whose
-// shape no longer matches (the base grew edges since it was pooled) is
-// dropped for a fresh clone of the current base.
-func (r *Resident) leaseLocked() *graph.Graph {
-	g := r.pool.Get().(*graph.Graph)
-	if err := g.CopyStateFrom(r.base); err != nil {
-		g = r.base.Clone()
-	}
-	return g
-}
-
-// release returns an overlay to the lease pool.
-func (r *Resident) release(g *graph.Graph) { r.pool.Put(g) }
 
 // nodeLabel names node v for response payloads: its name when it has
 // one, its decimal id otherwise. Names never change after load.

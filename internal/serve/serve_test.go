@@ -227,8 +227,8 @@ func TestNonSeedableEngineStaysCold(t *testing.T) {
 // equal, bitwise, the same query on a fresh server.
 func TestColdEdgeAfterReusedOverlay(t *testing.T) {
 	s, r := newGridServer(t, Config{})
-	overlay := r.base.Clone()
-	r.pool.New = func() any { return overlay } // every lease gets this overlay
+	reused := &overlay{g: r.base.Clone()}
+	r.pool.New = func() any { return reused } // every lease gets this overlay
 	steps := []struct{ engine, doc string }{
 		{EngineResidual, `{"evidence":[{"node":"136","state":1}]}`},
 		{EngineResidual, `{"evidence":[{"node":"40","state":0}]}`},

@@ -31,9 +31,9 @@ func spanNames(rec *telemetry.FlightRecord) map[string]bool {
 
 // TestSoloQueryTrace drives one solo query through the HTTP handler and
 // checks the captured flight record holds the full pipeline span tree —
-// admission, decode, engine selection, the engine's own run span,
-// extraction, encoding — plus the convergence trajectory the engine's iteration
-// events mirrored into the trace.
+// admission, decode, the overlay lease, engine selection, the engine's
+// own run span, extraction, encoding — plus the convergence trajectory
+// the engine's iteration events mirrored into the trace.
 func TestSoloQueryTrace(t *testing.T) {
 	s, ts, _ := newHTTPServer(t, Config{})
 	tc := telemetry.NewTracer(1)
@@ -54,7 +54,7 @@ func TestSoloQueryTrace(t *testing.T) {
 	}
 	rec := recs[0]
 	names := spanNames(rec)
-	for _, want := range []string{"admit", "decode", "bp.node", "extract", "encode"} {
+	for _, want := range []string{"admit", "decode", "lease", "bp.node", "extract", "encode"} {
 		if !names[want] {
 			t.Errorf("span %q missing from %v", want, rec.Spans)
 		}

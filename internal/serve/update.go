@@ -179,8 +179,9 @@ func (r *Resident) DecodeUpdate(data []byte) (*ResolvedUpdate, error) {
 //     beliefs, and the delta frontier (changed nodes plus out-neighbours,
 //     from TakeDeltaSeeds) as the seeds of bp.RunResidualFrom. The
 //     mutation pays the frontier-sized re-convergence once, instead of
-//     every later query paying a cold run; a run that does not converge
-//     drops the snapshot.
+//     every later query paying a cold run, and only the rows it touched
+//     are patched into the snapshot; a run that does not converge drops
+//     the snapshot.
 //
 // An operation rejected by the delta layer aborts the remainder; the
 // error reports the position, and the returned response (non-nil even
@@ -223,51 +224,78 @@ func (s *Server) UpdateResident(r *Resident, ru *ResolvedUpdate) (*UpdateRespons
 		// The applied prefix is committed and its frontier is drained, so
 		// the snapshot can no longer be carried forward.
 		if resp.Generation != genBefore {
-			r.warm = nil
+			r.snap.drop()
 		}
 		return resp, applyErr
 	case len(seeds) == 0:
-		resp.Warm, resp.Converged = r.warm != nil, true
+		resp.Warm, resp.Converged = r.snap.ok, true
 		return resp, nil
-	case structural || r.warm == nil || !features.RecommendDelta(r.md, len(seeds)):
-		r.warm = nil
+	case structural || !r.snap.ok || !features.RecommendDelta(r.md, len(seeds)):
+		r.snap.drop()
 		resp.Converged = true
 		return resp, nil
 	}
 
-	w := r.warm
-	r.warm = nil // replaced below only by a fixpoint of the mutated base
-	g := r.leaseLocked()
-	defer r.release(g)
+	// Start the re-convergence where a run from the mutated base would:
+	// clamped and input-free nodes take the base's row (the delta layer
+	// maintains them and the engine never recomputes them), every other
+	// node keeps its fixpoint. Only the frontier, the rows a whole-array
+	// publication left drifted, and the query clamps — one may restate a
+	// node the base clamps — can differ; all are journalled, since the
+	// frontier's base rows moved too.
+	w := &r.snap
+	restore := func(v int32) {
+		if r.base.Observed[v] || r.base.InDegree(v) == 0 {
+			copy(w.row(v, r.base.States), r.base.Belief(v))
+		}
+		w.rows = append(w.rows, v)
+	}
+	for _, v := range seeds {
+		restore(v)
+	}
+	for _, v := range w.drift {
+		restore(v)
+	}
+	for _, ev := range w.evidence {
+		restore(ev.node)
+	}
+	w.drift = w.drift[:0]
+	w.trim(r.base.NumNodes)
+
+	o := r.leaseLocked(true)
+	defer r.release(o)
 	evidence := make([]evPair, 0, len(w.evidence))
 	for _, ev := range w.evidence {
-		if g.Observed[ev.node] {
+		if o.g.Observed[ev.node] {
 			// The update clamped this node at base level; the newer clamp
 			// wins over the snapshot's query-time evidence.
 			continue
 		}
-		if err := g.Observe(ev.node, int(ev.state)); err != nil {
+		if err := o.observe(ev); err != nil {
 			// The mutations are committed; only the re-convergence failed.
 			// Report the full prefix and leave the next query to run cold.
+			w.drop()
 			return resp, fmt.Errorf("serve: re-clamp node %d: %w", ev.node, err)
 		}
 		evidence = append(evidence, ev)
 	}
-	for v := int32(0); v < int32(g.NumNodes); v++ {
-		// Input-free nodes keep their leased beliefs: the delta layer
-		// maintains them (prior updates land directly) and the engine
-		// never recomputes them, so the stale snapshot value must not
-		// overwrite them. Clamped nodes keep their indicators.
-		if !g.Observed[v] && g.InDegree(v) > 0 {
-			copy(g.Belief(v), w.beliefs[int(v)*g.States:(int(v)+1)*g.States])
-		}
-	}
-	res := bp.RunResidualFrom(g, s.cfg.Options, seeds)
+	res := bp.RunResidualFrom(o.g, s.cfg.Options, seeds)
+	o.ran(res.Moved)
 	resp.Converged = res.Converged
 	resp.Updates = res.Ops.NodesProcessed
-	if res.Converged {
-		r.warm = &warmState{beliefs: append([]float32(nil), g.Beliefs...), evidence: evidence}
-		resp.Warm = true
+	if !res.Converged {
+		w.drop()
+		return resp, nil
 	}
+	resp.Warm = true
+	if res.Moved == nil {
+		// The run went untracked past NumNodes updates.
+		r.storeLocked(func(dst []float32) { copy(dst, o.g.Beliefs) }, evidence)
+		return resp, nil
+	}
+	// The overlay differs from the snapshot only in the clamps it
+	// re-applied and the rows the run moved: exactly its dirty rows.
+	r.patchLocked(o.g, o.dirty)
+	w.evidence = evidence
 	return resp, nil
 }

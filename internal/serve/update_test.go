@@ -3,12 +3,15 @@ package serve
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"credo/internal/bp"
+	"credo/internal/gen"
 	"credo/internal/graph"
 	"credo/internal/telemetry"
 )
@@ -261,10 +264,10 @@ func TestUpdateIgnoresStaleWarmSnapshot(t *testing.T) {
 	if _, err := s.QueryResident(r, EngineResidual, decode(t, r, `{"evidence":[{"node":"17","state":1}]}`)); err != nil {
 		t.Fatal(err)
 	}
-	r.mu.RLock()
-	stale, staleGen := r.warm, r.base.Generation()
-	r.mu.RUnlock()
-	if stale == nil {
+	// The slow query: an overlay leased now holds the gen-G fixpoint.
+	stale, staleEvidence, warm, staleGen := r.lease(true)
+	defer r.release(stale)
+	if !warm {
 		t.Fatal("first query did not arm the warm cache")
 	}
 
@@ -282,13 +285,15 @@ func TestUpdateIgnoresStaleWarmSnapshot(t *testing.T) {
 		t.Fatalf("update did not republish the snapshot (warm=%v converged=%v)", resp.Warm, resp.Converged)
 	}
 	r.mu.RLock()
-	fresh := r.warm
+	fresh, freshEpoch := append([]float32(nil), r.snap.beliefs...), r.snap.epoch
 	r.mu.RUnlock()
 
-	// The slow query publishes late: the fresher fixpoint must stay.
-	r.publish(stale.beliefs, stale.evidence, staleGen)
+	// The slow query publishes late, as a whole-array run would: the
+	// fresher fixpoint must stay.
+	stale.ran(nil)
+	r.publish(stale, nil, nil, staleEvidence, staleGen)
 	r.mu.RLock()
-	kept := r.warm == fresh
+	kept := r.snap.epoch == freshEpoch && sameBits(r.snap.beliefs, fresh)
 	r.mu.RUnlock()
 	if !kept {
 		t.Fatal("late stale publication clobbered the re-converged snapshot")
@@ -297,7 +302,7 @@ func TestUpdateIgnoresStaleWarmSnapshot(t *testing.T) {
 	// With no snapshot stored, the late publication must not fill the
 	// gap either; the next update then has nothing to carry forward.
 	r.InvalidateWarm()
-	r.publish(stale.beliefs, stale.evidence, staleGen)
+	r.publish(stale, nil, nil, staleEvidence, staleGen)
 	if r.HasWarm() {
 		t.Fatal("stale publication stored into an empty snapshot slot")
 	}
@@ -491,4 +496,92 @@ func TestUpdateDecodeRejects(t *testing.T) {
 	if _, err := s.UpdateResident(r, ru); err == nil {
 		t.Error("retract of an unclamped node applied without error")
 	}
+}
+
+// TestUpdatePatchMatchesWholeRun: after each numeric update the patched
+// snapshot equals, bit for bit, a re-convergence on a whole-state copy —
+// the mutated base, the snapshot's still-valid query clamps, the old
+// fixpoint on every other unclamped node with inputs, and the delta
+// frontier as seeds. The snapshot before each update comes from a warm
+// patch, a cold run or a batched lane, and the queries restate nodes the
+// base clamps. Damping makes some runs apply more than NumNodes updates,
+// past which bp.RunResidualFrom stops listing the rows it moved, so the
+// untracked case is covered too.
+func TestUpdatePatchMatchesWholeRun(t *testing.T) {
+	s, r := newGridServer(t, Config{Options: bp.Options{Damping: 0.5}})
+	n := r.base.NumNodes
+	rng := rand.New(rand.NewSource(11))
+	var clamped []int
+	untracked := 0
+	for step := 0; step < 60; step++ {
+		restate := rng.Intn(n)
+		if len(clamped) > 0 && rng.Intn(2) == 0 {
+			restate = clamped[rng.Intn(len(clamped))]
+		}
+		rq := decode(t, r, fmt.Sprintf(`{"evidence":[{"node":"%d","state":%d},{"node":"%d","state":1}]}`,
+			restate, rng.Intn(2), rng.Intn(n)))
+		var err error
+		switch step % 4 {
+		case 0, 1:
+			_, err = s.QueryResident(r, EngineResidual, rq)
+		case 2:
+			_, err = s.QueryResident(r, EngineNode, rq)
+		default:
+			_, err = s.QueryBatched(r, []*ResolvedQuery{rq})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := int32(rng.Intn(n))
+		m := gen.Mutation{Kind: gen.MutEvidence, Node: v, State: rng.Intn(2)}
+		if rng.Intn(2) == 0 {
+			clamped = append(clamped, int(v))
+		} else {
+			p := rng.Float32()
+			m = gen.Mutation{Kind: gen.MutPrior, Node: v, Prior: []float32{p, 1 - p}}
+		}
+
+		r.mu.RLock()
+		ref := r.base.Clone()
+		old, evidence := slices.Clone(r.snap.beliefs), r.snap.evidence
+		r.mu.RUnlock()
+		if err := m.Apply(ref); err != nil {
+			t.Fatal(err)
+		}
+		seeds := ref.TakeDeltaSeeds()
+		for _, ev := range evidence {
+			if !ref.Observed[ev.node] {
+				if err := ref.Observe(ev.node, int(ev.state)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for u := int32(0); u < int32(n); u++ {
+			if !ref.Observed[u] && ref.InDegree(u) > 0 {
+				copy(ref.Belief(u), old[int(u)*ref.States:(int(u)+1)*ref.States])
+			}
+		}
+		want := bp.RunResidualFrom(ref, s.cfg.Options, seeds)
+
+		resp, err := s.UpdateResident(r, &ResolvedUpdate{muts: []gen.Mutation{m}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Warm || !want.Converged {
+			t.Fatalf("step %d: update warm=%v, whole run converged=%v", step, resp.Warm, want.Converged)
+		}
+		if want.Moved == nil {
+			untracked++
+		}
+		r.mu.RLock()
+		same := sameBits(r.snap.beliefs, ref.Beliefs)
+		r.mu.RUnlock()
+		if !same {
+			t.Fatalf("step %d: snapshot after a %d-update re-convergence differs from the whole run's", step, resp.Updates)
+		}
+	}
+	if untracked == 0 {
+		t.Fatal("no re-convergence passed NumNodes updates; the untracked case went untested")
+	}
+	t.Logf("%d of 60 re-convergences passed NumNodes updates", untracked)
 }

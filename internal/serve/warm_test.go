@@ -3,7 +3,11 @@ package serve
 import (
 	"math/rand"
 	"slices"
+	"sync/atomic"
 	"testing"
+
+	"credo/internal/bp"
+	"credo/internal/telemetry"
 )
 
 // TestDiffEvidenceMatchesDense is the differential lock on the sparse
@@ -77,5 +81,43 @@ func TestDiffEvidenceMatchesDense(t *testing.T) {
 			t.Fatalf("pair %d: merge diff %v, dense diff %v\nold %v\ncur %v",
 				i, got, want, p.old, p.cur)
 		}
+	}
+}
+
+// TestOverlappingPublicationsLastWriterWins: a warm query whose snapshot
+// another query patched between its lease and its publication replaces
+// the snapshot whole, so the snapshot is its fixpoint, not its rows over
+// the other's. The probe runs the second query to completion from
+// inside the first one's run.
+func TestOverlappingPublicationsLastWriterWins(t *testing.T) {
+	var armed atomic.Bool
+	var s *Server
+	var r *Resident
+	var other *ResolvedQuery
+	var otherErr error
+	probe := probeFunc(func(e telemetry.Event) {
+		if e.Kind == telemetry.KindRunStart && armed.CompareAndSwap(true, false) {
+			_, otherErr = s.QueryResident(r, EngineResidual, other)
+		}
+	})
+	s, r = newGridServer(t, Config{Options: bp.Options{Probe: probe}})
+	other = decode(t, r, `{"evidence":[{"node":"136","state":0}]}`)
+	if _, err := s.QueryResident(r, EngineResidual, decode(t, r, `{"evidence":[{"node":"136","state":1}]}`)); err != nil {
+		t.Fatal(err)
+	}
+
+	armed.Store(true)
+	rq := decode(t, r, `{"evidence":[{"node":"40","state":0},{"node":"136","state":1}]}`)
+	resp, err := s.QueryResident(r, EngineResidual, rq)
+	if err != nil || otherErr != nil {
+		t.Fatal(err, otherErr)
+	}
+	if armed.Load() || !resp.Warm || !resp.Converged {
+		t.Fatalf("probe fired=%v, warm=%v, converged=%v: the overlap was not set up", !armed.Load(), resp.Warm, resp.Converged)
+	}
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if !slices.Equal(r.snap.evidence, rq.evidence) || !sameBits(r.snap.beliefs, resp.Beliefs.values) {
+		t.Fatal("the later publication did not replace the snapshot whole")
 	}
 }
